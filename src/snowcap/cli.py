@@ -1,20 +1,14 @@
 """Command-line driver: single experiments, parameter sweeps, phase reports.
 
-Subcommands
------------
-fractal    realize a boundary family and export it in the text format
-dimension  print the similarity dimension and the uniqueness threshold
-capacity   relaxed boundary capacity behind a collar
-hardy      local Hardy quotient on a ball
-collar     regularized collar integral over a tau ladder, with fitted exponent
-walk       absorbed-walk boundary-hitting fraction
-sweep      (lambda, delta) grid of capacity-trend cells, resumable
-report     record stream -> CSV table + SVG phase diagram
+Subcommands: fractal, dimension, capacity, hardy, collar, walk, sweep and
+report, each described by one `_Spec` in `_SPECS` (`snowcap --help` lists
+them with their help lines).
 
 Every experiment appends one `ExperimentRecord` to a JSON-lines stream when a
 records path is given; sweeps require one and skip cells whose id is already
 present, so interrupted runs resume without recomputing. Options may come
-from a JSON config file (`--config`), with explicit flags taking precedence.
+from a JSON config file (`--config`) keyed by long option names, with
+explicit flags taking precedence.
 Exit codes: 0 success, 2 invalid config or empty domain, 3 solver failure.
 Worker threads for sweep field construction honor $SNOWCAP_THREADS.
 """
@@ -27,18 +21,19 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .errors import SnowcapError, SolverDiverged, EmptyDomain, EmptyRegion
-from .simsys import DEPTH_CAPS, similarity_dimension, critical_delta, geometry_to_text
+from .simsys import named_family, similarity_dimension, critical_delta, geometry_to_text
 from .geomfield import build_grid, distance_field
 from .forms import assemble_form, capacity_relaxed, hardy_quotient, collar_integral
 from .stochastic import WalkConfig, walk_absorption
 from .records import (
     ExperimentRecord,
-    make_geometry,
     record_id,
     derive_seed,
     append_record,
@@ -50,35 +45,9 @@ __all__ = ["run_subcommand", "main", "choose_depth"]
 
 _PRIMITIVE_BUDGET = 2_000_000
 
-# ratio of child to parent primitive size, and primitive multiplicity per round
-_FAMILY_SHAPE = {
-    "koch": (lambda lam: (1.0 - lam) / 2.0, lambda dim: 4, 3),
-    "vicsek": (lambda lam: max(lam, 1.0 - 2.0 * lam), lambda dim: 2**dim + 1, 1),
-    "cantor-dust": (lambda lam: lam, lambda dim: 2**dim, 1),
-}
-
 
 class _CliError(Exception):
     """Invalid command line or config file."""
-
-
-# options that must come from either the command line or the config file
-_REQUIRED = {
-    "fractal": ("family", "lam", "depth", "out"),
-    "dimension": ("family", "lam"),
-    "capacity": ("family", "lam", "delta"),
-    "hardy": ("family", "lam", "delta", "z", "r"),
-    "collar": ("family", "lam", "delta", "z", "rho"),
-    "walk": ("family", "lam", "delta", "start"),
-    "sweep": ("family", "lambdas", "deltas", "resolution", "out"),
-    "report": ("infile", "out"),
-}
-
-
-def _check_required(args) -> None:
-    missing = [n for n in _REQUIRED[args.cmd] if getattr(args, n, None) is None]
-    if missing:
-        raise _CliError(f"{args.cmd}: missing required option(s) {missing}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +107,7 @@ def _threads() -> int:
     return os.cpu_count() or 1
 
 
-# --- geometry and field construction -------------------------------------------
+# --- geometry, fields and records ------------------------------------------------
 
 
 def choose_depth(family: str, lam: float, dim: int, resolution: int) -> int:
@@ -149,35 +118,21 @@ def choose_depth(family: str, lam: float, dim: int, resolution: int) -> int:
     by a primitive-count budget, so extreme ratios degrade gracefully
     instead of exhausting memory.
     """
-    key = "cantor-dust" if family == "cantor" else family
-    if key not in _FAMILY_SHAPE:
-        raise _CliError(f"unknown family {family!r}")
-    ratio_fn, mult_fn, base = _FAMILY_SHAPE[key]
-    ratio, mult = ratio_fn(lam), mult_fn(dim)
-    probe = make_geometry(family, lam, dim, min(3, DEPTH_CAPS[(key, dim)]))
+    named = named_family(family)
+    probe = named.geometry(lam, dim, 3)
     lo, hi = probe.bounds()
     h = float(np.max(hi - lo)) / resolution
 
-    err_unit = np.sqrt(dim) if key != "koch" else 1.0
-    depth, count = 1, base * mult
-    cap = DEPTH_CAPS[(key, dim)]
+    mult = len(probe.system.maps)
+    base = len(probe.primitives) // mult**probe.depth  # primitives at depth 0
+    depth = 1
     while (
-        err_unit * ratio**depth > h
-        and depth < cap
-        and count * mult <= _PRIMITIVE_BUDGET
+        named.approx_error(probe.system, depth) > h
+        and depth < named.depth_caps[dim]
+        and base * mult ** (depth + 1) <= _PRIMITIVE_BUDGET
     ):
         depth += 1
-        count *= mult
     return depth
-
-
-def _build_field(family: str, lam: float, dim: int, resolution: int, depth: int | None):
-    """Realize the family and compute its certified distance field."""
-    if depth is None:
-        depth = choose_depth(family, lam, dim, resolution)
-    geom = make_geometry(family, lam, dim, depth)
-    grid = build_grid(geom, resolution)
-    return geom, distance_field(geom, grid)
 
 
 def _start_cell(point: tuple, grid) -> tuple:
@@ -189,193 +144,111 @@ def _start_cell(point: tuple, grid) -> tuple:
     return tuple(idx)
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _record(args, op, depth, resolution, delta, outputs, tolerances, seed, wall, params):
-    geom_sys = make_geometry(args.family, args.lam, args.d, 1).system
-    s = similarity_dimension(geom_sys)
+def _record(path, params, depth, outputs, tolerances, seed, wall) -> ExperimentRecord:
+    """The record of one experiment, identified by its id params; appended to
+    the stream at `path` when one is given."""
+    family, lam, dim = params["family"], params["lambda"], params["d"]
+    s = similarity_dimension(named_family(family).system(lam, dim))
     rec = ExperimentRecord(
-        id=record_id(params),
-        op=op,
-        family=args.family,
-        lam=args.lam,
-        depth=depth,
-        dim=args.d,
-        s=s,
-        delta=delta,
-        delta_c=critical_delta(s, args.d),
-        resolution=resolution,
-        outputs=outputs,
-        tolerances=tolerances,
-        seed=seed,
-        wall_time=wall,
-        version=__version__,
+        id=record_id(params), op=params["op"], family=family, lam=lam, depth=depth, dim=dim,
+        s=s, delta=params.get("delta"), delta_c=critical_delta(s, dim),
+        resolution=params.get("resolution"), outputs=outputs, tolerances=tolerances,
+        seed=seed, wall_time=wall, version=__version__,
     )
-    if getattr(args, "records", None):
-        append_record(args.records, rec)
+    if path:
+        append_record(path, rec)
     return rec
 
 
-# --- single-experiment subcommands ----------------------------------------------
+def _run_experiment(spec, args) -> dict:
+    """Build the field, run the spec's measurement, record, return the outputs.
 
-
-def _cmd_fractal(args) -> int:
-    geom = make_geometry(args.family, args.lam, args.d, args.depth)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(geometry_to_text(geom))
-    _emit(
-        {
-            "family": args.family,
-            "lambda": args.lam,
-            "d": args.d,
-            "depth": args.depth,
-            "primitives": len(geom.primitives),
-            "approx_error": geom.approx_error,
-            "out": args.out,
-        }
-    )
-    return 0
-
-
-def _cmd_dimension(args) -> int:
+    The id params hash geometry, grid, delta and the spec's id_keys as given;
+    a measurement replaces a key by its parsed value where the id hashes that
+    (the point z; the walk's start cell, before it derives its seed).
+    """
     t0 = time.perf_counter()
-    system = make_geometry(args.family, args.lam, args.d, 1).system
-    s = similarity_dimension(system)
-    dc = critical_delta(s, args.d)
-    params = {"op": "dimension", "family": args.family, "lambda": args.lam, "d": args.d}
-    _record(args, "dimension", None, None, None, {}, {}, 0, time.perf_counter() - t0, params)
-    _emit({"family": args.family, "lambda": args.lam, "d": args.d, "s": s, "delta_c": dc})
-    return 0
+    depth = args.depth
+    if depth is None:
+        depth = choose_depth(args.family, args.lam, args.d, args.resolution)
+    geom = named_family(args.family).geometry(args.lam, args.d, depth)
+    field = distance_field(geom, build_grid(geom, args.resolution))
+    params = {"op": args.cmd, "family": args.family, "lambda": args.lam, "d": args.d,
+              "depth": depth, "resolution": args.resolution, "delta": args.delta}
+    params.update((key, getattr(args, key)) for key in spec.id_keys)
+    outputs, tolerances, seed = spec.run(args, field, params)
+    _record(args.records, params, depth, outputs, tolerances, seed, time.perf_counter() - t0)
+    return outputs
 
 
-def _cmd_capacity(args) -> int:
-    t0 = time.perf_counter()
-    geom, field = _build_field(args.family, args.lam, args.d, args.resolution, args.depth)
+# --- measurements of the single experiments ---------------------------------------
+
+
+def _capacity(args, field, params):
     eps = _parse_length(args.eps, field.grid.h)
     res = capacity_relaxed(field, args.delta, None, eps, cg_tol=args.cg_tol)
-    outputs = {
-        "value": res.value,
-        "collar_eps": res.collar_eps,
-        "solver_iters": res.solver_iters,
-        "residual": res.residual,
-    }
-    params = {
-        "op": "capacity",
-        "family": args.family,
-        "lambda": args.lam,
-        "d": args.d,
-        "depth": geom.depth,
-        "resolution": args.resolution,
-        "delta": args.delta,
-        "eps": args.eps,
-    }
-    _record(
-        args, "capacity", geom.depth, args.resolution, args.delta,
-        outputs, {"cg_tol": args.cg_tol}, 0, time.perf_counter() - t0, params,
-    )
-    _emit(outputs)
-    return 0
+    outputs = {k: getattr(res, k) for k in ("value", "collar_eps", "solver_iters", "residual")}
+    return outputs, {"cg_tol": args.cg_tol}, 0
 
 
-def _cmd_hardy(args) -> int:
-    t0 = time.perf_counter()
-    geom, field = _build_field(args.family, args.lam, args.d, args.resolution, args.depth)
+def _hardy(args, field, params):
     z = _parse_point(args.z, args.d)
+    params["z"] = list(z)
     r = _parse_length(args.r, field.grid.h)
     quot = hardy_quotient(field, args.delta, z, r, tol=args.tol, max_outer=args.max_outer)
-    outputs = {"quotient": quot, "z": list(z), "r": r}
-    params = {
-        "op": "hardy",
-        "family": args.family,
-        "lambda": args.lam,
-        "d": args.d,
-        "depth": geom.depth,
-        "resolution": args.resolution,
-        "delta": args.delta,
-        "z": list(z),
-        "r": args.r,
-    }
-    _record(
-        args, "hardy", geom.depth, args.resolution, args.delta,
-        outputs, {"tol": args.tol}, 0, time.perf_counter() - t0, params,
-    )
-    _emit(outputs)
-    return 0
+    return {"quotient": quot, "z": list(z), "r": r}, {"tol": args.tol}, 0
 
 
-def _cmd_collar(args) -> int:
-    t0 = time.perf_counter()
-    geom, field = _build_field(args.family, args.lam, args.d, args.resolution, args.depth)
+def _collar(args, field, params):
     z = _parse_point(args.z, args.d)
+    params["z"] = list(z)
     rho = _parse_length(args.rho, field.grid.h)
     taus = _parse_length_range(args.taus, field.grid.h)
     values = [collar_integral(field, args.delta, z, rho, t) for t in taus]
     slope = float(np.polyfit(np.log(taus), np.log(values), 1)[0])
-    outputs = {"slope": slope, "taus": [float(t) for t in taus], "values": values}
-    params = {
-        "op": "collar",
-        "family": args.family,
-        "lambda": args.lam,
-        "d": args.d,
-        "depth": geom.depth,
-        "resolution": args.resolution,
-        "delta": args.delta,
-        "z": list(z),
-        "rho": args.rho,
-        "taus": args.taus,
-    }
-    _record(
-        args, "collar", geom.depth, args.resolution, args.delta,
-        outputs, {}, 0, time.perf_counter() - t0, params,
-    )
-    _emit(outputs)
-    return 0
+    return {"slope": slope, "taus": [float(t) for t in taus], "values": values}, {}, 0
 
 
-def _cmd_walk(args) -> int:
-    t0 = time.perf_counter()
-    geom, field = _build_field(args.family, args.lam, args.d, args.resolution, args.depth)
+def _walk(args, field, params):
     form = assemble_form(field, args.delta)
     start = _start_cell(_parse_point(args.start, args.d), field.grid)
-    eps = _parse_length(args.absorb_eps, field.grid.h)
-    params = {
-        "op": "walk",
-        "family": args.family,
-        "lambda": args.lam,
-        "d": args.d,
-        "depth": geom.depth,
-        "resolution": args.resolution,
-        "delta": args.delta,
-        "start": list(start),
-        "horizon": args.horizon,
-        "trials": args.trials,
-        "absorb_eps": args.absorb_eps,
-        "seed": args.seed,
-    }
-    rid = record_id(params)
+    params["start"] = list(start)
     cfg = WalkConfig(
         start=start,
         horizon=args.horizon,
         trials=args.trials,
-        seed=derive_seed(args.seed, rid),
-        absorb_eps=eps,
+        seed=derive_seed(args.seed, record_id(params)),
+        absorb_eps=_parse_length(args.absorb_eps, field.grid.h),
     )
     res = walk_absorption(form, field, cfg)
-    outputs = {
-        "p_hat": res.p_hat,
-        "stderr": res.stderr,
-        "absorbed": res.absorbed,
-        "trials": res.trials,
-        "clamp_events": res.clamp_events,
+    keys = ("p_hat", "stderr", "absorbed", "trials", "clamp_events")
+    return {k: getattr(res, k) for k in keys}, {}, cfg.seed
+
+
+# --- subcommands without a field ----------------------------------------------------
+
+
+def _cmd_fractal(args) -> dict:
+    geom = named_family(args.family).geometry(args.lam, args.d, args.depth)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(geometry_to_text(geom))
+    return {
+        "family": args.family,
+        "lambda": args.lam,
+        "d": args.d,
+        "depth": args.depth,
+        "primitives": len(geom.primitives),
+        "approx_error": geom.approx_error,
+        "out": args.out,
     }
-    _record(
-        args, "walk", geom.depth, args.resolution, args.delta,
-        outputs, {}, cfg.seed, time.perf_counter() - t0, params,
-    )
-    _emit(outputs)
-    return 0
+
+
+def _cmd_dimension(args) -> dict:
+    t0 = time.perf_counter()
+    params = {"op": "dimension", "family": args.family, "lambda": args.lam, "d": args.d}
+    rec = _record(args.records, params, None, {}, {}, 0, time.perf_counter() - t0)
+    return {"family": args.family, "lambda": args.lam, "d": args.d, "s": rec.s,
+            "delta_c": rec.delta_c}
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -387,18 +260,16 @@ def _trend_cell(field_coarse, field_fine, delta: float, eps_cells: float, cg_tol
     The collar shrinks with the cell size, so a vanishing trend flags
     boundaries the form cannot see in the limit.
     """
-    v_c = capacity_relaxed(
-        field_coarse, delta, None, eps_cells * field_coarse.grid.h, cg_tol=cg_tol
-    ).value
-    v_f = capacity_relaxed(
-        field_fine, delta, None, eps_cells * field_fine.grid.h, cg_tol=cg_tol
-    ).value
+    v_c, v_f = (
+        capacity_relaxed(f, delta, None, eps_cells * f.grid.h, cg_tol=cg_tol).value
+        for f in (field_coarse, field_fine)
+    )
     ratio = v_c / v_f if v_f > 0 else float("inf")
     verdict = "vanishing" if ratio >= 1.25 else "persistent"
-    return v_c, v_f, ratio, verdict
+    return {"capacity_coarse": v_c, "capacity_fine": v_f, "ratio": ratio, "verdict": verdict}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     lams = _parse_range(args.lambdas)
     deltas = _parse_range(args.deltas)
     if args.resolution < 16:
@@ -411,24 +282,15 @@ def _cmd_sweep(args) -> int:
         lam = float(lam)
         cells = []
         for delta in deltas:
-            delta = float(delta)
-            params = {
-                "op": "capacity-trend",
-                "family": args.family,
-                "lambda": lam,
-                "d": args.d,
-                "delta": delta,
-                "resolution": res_f,
-                "eps_cells": args.eps_cells,
-            }
-            rid = record_id(params)
-            if rid not in done:
-                cells.append((delta, rid, params))
+            params = {"op": "capacity-trend", "family": args.family, "lambda": lam, "d": args.d,
+                      "delta": float(delta), "resolution": res_f, "eps_cells": args.eps_cells}
+            if record_id(params) not in done:
+                cells.append(params)
         if not cells:
             continue
 
         depth = choose_depth(args.family, lam, args.d, res_f)
-        geom = make_geometry(args.family, lam, args.d, depth)
+        geom = named_family(args.family).geometry(lam, args.d, depth)
         with ThreadPoolExecutor(max_workers=min(2, _threads())) as pool:
             futs = [
                 pool.submit(distance_field, geom, build_grid(geom, r))
@@ -436,41 +298,16 @@ def _cmd_sweep(args) -> int:
             ]
             field_c, field_f = (f.result() for f in futs)
 
-        system = geom.system
-        s = similarity_dimension(system)
-        for delta, rid, params in cells:
+        for params in cells:
             t0 = time.perf_counter()
-            v_c, v_f, ratio, verdict = _trend_cell(
-                field_c, field_f, delta, args.eps_cells, args.cg_tol
-            )
-            rec = ExperimentRecord(
-                id=rid,
-                op="capacity-trend",
-                family=args.family,
-                lam=lam,
-                depth=depth,
-                dim=args.d,
-                s=s,
-                delta=delta,
-                delta_c=critical_delta(s, args.d),
-                resolution=res_f,
-                outputs={
-                    "capacity_coarse": v_c,
-                    "capacity_fine": v_f,
-                    "ratio": ratio,
-                    "verdict": verdict,
-                },
-                tolerances={"cg_tol": args.cg_tol},
-                seed=derive_seed(args.seed, rid),
-                wall_time=time.perf_counter() - t0,
-                version=__version__,
-            )
-            append_record(args.out, rec)
+            outputs = _trend_cell(field_c, field_f, params["delta"], args.eps_cells, args.cg_tol)
+            rid = record_id(params)
+            _record(args.out, params, depth, outputs, {"cg_tol": args.cg_tol},
+                    derive_seed(args.seed, rid), time.perf_counter() - t0)
             done.add(rid)
             written += 1
 
-    _emit({"records": written, "skipped": len(lams) * len(deltas) - written, "out": args.out})
-    return 0
+    return {"records": written, "skipped": len(lams) * len(deltas) - written, "out": args.out}
 
 
 # --- report ----------------------------------------------------------------------
@@ -556,12 +393,11 @@ def _svg_phase(records, path: str) -> None:
             f"lambda={r.lam:.4g} delta={r.delta:.4g} ratio={ratio:.3g}</title></rect>"
         )
 
-    from .records import family_dimension
-
     pts = []
     for lam in np.linspace(lams[0], lams[-1], 160):
         try:
-            dc = critical_delta(family_dimension(family, float(lam), dim), dim)
+            s = similarity_dimension(named_family(family).system(float(lam), dim))
+            dc = critical_delta(s, dim)
         except (ValueError, SnowcapError):
             continue
         if del0 <= dc <= del1:
@@ -609,7 +445,7 @@ def _svg_phase(records, path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> dict:
     records = load_records(args.infile)
     csv_path = args.csv
     if csv_path is None:
@@ -617,125 +453,153 @@ def _cmd_report(args) -> int:
         csv_path = (stem if ext else args.out) + ".csv"
     _write_csv(records, csv_path)
     _svg_phase(records, args.out)
-    _emit({"records": len(records), "csv": csv_path, "svg": args.out})
-    return 0
+    return {"records": len(records), "csv": csv_path, "svg": args.out}
 
 
-# --- argument wiring ---------------------------------------------------------------
+# --- subcommand specs and argument wiring ------------------------------------------
 
 
-def _add_geometry_args(p, with_resolution=True):
-    p.add_argument("--family", help="koch | vicsek | cantor")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="contraction ratio of the family")
-    p.add_argument("--d", type=int, default=2, help="ambient dimension")
-    if with_resolution:
-        p.add_argument("--resolution", type=int, default=256,
-                       help="cells along the longest extent")
-        p.add_argument("--depth", type=int, default=None,
-                       help="substitution depth (default: error below one cell)")
+@dataclass(frozen=True)
+class _Spec:
+    """One subcommand: help line, runner, the dests that a flag or the config
+    file must set, and options as (flag, add_argument keywords) pairs.
+
+    id_keys is None for a subcommand that runs on its own: run(args) returns
+    the JSON object to print. Otherwise the subcommand is a field experiment:
+    run is its measurement (args, field, params) -> (outputs, tolerances,
+    seed), and `_run_experiment` hashes id_keys into the record id.
+    """
+
+    help: str
+    run: Callable
+    required: tuple
+    options: tuple
+    id_keys: tuple | None = None
+
+
+_GEOMETRY = (
+    ("--family", dict(help="koch | vicsek | cantor")),
+    ("--lambda", dict(dest="lam", type=float, help="contraction ratio of the family")),
+    ("--d", dict(type=int, default=2, help="ambient dimension")),
+)
+_RECORDS = ("--records", dict(help="JSON-lines record stream to append"))
+_FIELD = _GEOMETRY + (
+    ("--resolution", dict(type=int, default=256, help="cells along the longest extent")),
+    ("--depth", dict(type=int, help="substitution depth (default: error below one cell)")),
+    ("--delta", dict(type=float, help="degeneration order")),
+    _RECORDS,
+)
+_NEEDS_FIELD = ("family", "lam", "delta")
+_Z = ("--z", dict(help="ball center, comma-separated"))
+
+_SPECS = {
+    "fractal": _Spec(
+        "realize a boundary family and export it in the text format", _cmd_fractal,
+        required=("family", "lam", "depth", "out"),
+        options=_GEOMETRY + (
+            ("--depth", dict(type=int)),
+            ("--out", dict(help="text-format geometry path")),
+        )),
+    "dimension": _Spec(
+        "print the similarity dimension and the uniqueness threshold", _cmd_dimension,
+        required=("family", "lam"),
+        options=_GEOMETRY + (_RECORDS,)),
+    "capacity": _Spec(
+        "relaxed boundary capacity behind a collar", _capacity,
+        required=_NEEDS_FIELD, id_keys=("eps",),
+        options=_FIELD + (
+            ("--eps", dict(default="8h", help="collar width (number or multiple of h)")),
+            ("--cg-tol", dict(type=float, default=1e-8)),
+        )),
+    "hardy": _Spec(
+        "local Hardy quotient on a ball", _hardy,
+        required=_NEEDS_FIELD + ("z", "r"), id_keys=("z", "r"),
+        options=_FIELD + (
+            _Z,
+            ("--r", dict(help="ball radius (number or multiple of h)")),
+            ("--tol", dict(type=float, default=1e-6)),
+            ("--max-outer", dict(type=int, default=200)),
+        )),
+    "collar": _Spec(
+        "regularized collar integral over a tau ladder, with fitted exponent", _collar,
+        required=_NEEDS_FIELD + ("z", "rho"), id_keys=("z", "rho", "taus"),
+        options=_FIELD + (
+            _Z,
+            ("--rho", dict(help="region radius (number or multiple of h)")),
+            ("--taus", dict(default="8h:64h:7", help="regularization ladder lo:hi:n")),
+        )),
+    "walk": _Spec(
+        "absorbed-walk boundary-hitting fraction", _walk,
+        required=_NEEDS_FIELD + ("start",),
+        id_keys=("start", "horizon", "trials", "absorb_eps", "seed"),
+        options=_FIELD + (
+            ("--start", dict(help="start point, comma-separated")),
+            ("--horizon", dict(type=float, default=1.0)),
+            ("--trials", dict(type=int, default=1000)),
+            ("--absorb-eps", dict(default="6h")),
+            ("--seed", dict(type=int, default=0)),
+        )),
+    "sweep": _Spec(
+        "(lambda, delta) grid of capacity-trend cells, resumable", _cmd_sweep,
+        required=("family", "lambdas", "deltas", "resolution", "out"),
+        options=(
+            ("--family", dict()),
+            ("--d", dict(type=int, default=2)),
+            ("--lambdas", dict(help="lo:hi:n")),
+            ("--deltas", dict(help="lo:hi:n")),
+            ("--resolution", dict(type=int)),
+            ("--eps-cells", dict(type=float, default=8.0)),
+            ("--cg-tol", dict(type=float, default=1e-6)),
+            ("--seed", dict(type=int, default=0)),
+            ("--out", dict(help="JSON-lines record stream")),
+        )),
+    "report": _Spec(
+        "record stream -> CSV table + SVG phase diagram", _cmd_report,
+        required=("infile", "out"),
+        options=(
+            ("--in", dict(dest="infile", help="JSON-lines record stream")),
+            ("--out", dict(help="SVG output path")),
+            ("--csv", dict(help="CSV output path (default: beside --out)")),
+        )),
+}
 
 
 def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     top = _Parser(prog="snowcap", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"snowcap {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
-    parser_map = {}
-
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+    for name, spec in _SPECS.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", default=None, help="JSON file of option defaults")
-        parser_map[name] = p
-        return p
-
-    p = add("fractal", _cmd_fractal, "realize a boundary family and export it")
-    _add_geometry_args(p, with_resolution=False)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--out", help="text-format geometry path")
-
-    p = add("dimension", _cmd_dimension, "similarity dimension and threshold")
-    _add_geometry_args(p, with_resolution=False)
-    p.add_argument("--records", default=None, help="JSON-lines record stream to append")
-
-    p = add("capacity", _cmd_capacity, "relaxed boundary capacity")
-    _add_geometry_args(p)
-    p.add_argument("--delta", type=float, help="degeneration order")
-    p.add_argument("--eps", default="8h", help="collar width (number or multiple of h)")
-    p.add_argument("--cg-tol", dest="cg_tol", type=float, default=1e-8)
-    p.add_argument("--records", default=None)
-
-    p = add("hardy", _cmd_hardy, "local Hardy quotient")
-    _add_geometry_args(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--z", help="ball center, comma-separated")
-    p.add_argument("--r", help="ball radius (number or multiple of h)")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-outer", dest="max_outer", type=int, default=200)
-    p.add_argument("--records", default=None)
-
-    p = add("collar", _cmd_collar, "collar integral ladder and exponent")
-    _add_geometry_args(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--z")
-    p.add_argument("--rho", help="region radius (number or multiple of h)")
-    p.add_argument("--taus", default="8h:64h:7", help="regularization ladder lo:hi:n")
-    p.add_argument("--records", default=None)
-
-    p = add("walk", _cmd_walk, "absorbed-walk hitting fraction")
-    _add_geometry_args(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--start", help="start point, comma-separated")
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--absorb-eps", dest="absorb_eps", default="6h")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--records", default=None)
-
-    p = add("sweep", _cmd_sweep, "capacity-trend grid over (lambda, delta)")
-    p.add_argument("--family")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--lambdas", help="lo:hi:n")
-    p.add_argument("--deltas", help="lo:hi:n")
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--eps-cells", dest="eps_cells", type=float, default=8.0)
-    p.add_argument("--cg-tol", dest="cg_tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="JSON-lines record stream")
-
-    p = add("report", _cmd_report, "CSV table and SVG phase diagram")
-    p.add_argument("--in", dest="infile", help="JSON-lines record stream")
-    p.add_argument("--out", help="SVG output path")
-    p.add_argument("--csv", default=None, help="CSV output path (default: beside --out)")
-
-    return top, parser_map
+        for flag, kwargs in spec.options:
+            p.add_argument(flag, **kwargs)
+    return top, sub.choices
 
 
-def _apply_config(argv, parser_map):
-    """Load `--config` JSON and install it as defaults on the subparser."""
-    if not argv or argv[0] not in parser_map:
+def _apply_config(argv, parsers):
+    """Load `--config` JSON and install it as defaults on the subparser.
+
+    A key is a long option name without its dashes or an option's dest.
+    """
+    if not argv or argv[0] not in parsers:
         return
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
     if path is None:
         return
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise _CliError("config file must hold a JSON object")
-    aliases = {"lambda": "lam", "in": "infile", "max-outer": "max_outer",
-               "cg-tol": "cg_tol", "eps-cells": "eps_cells", "absorb-eps": "absorb_eps"}
-    cfg = {aliases.get(k, k): v for k, v in cfg.items()}
-    sub = parser_map[argv[0]]
-    dests = {a.dest for a in sub._actions} - {"help", "config", "fn"}
-    unknown = set(cfg) - dests
+    sub = parsers[argv[0]]
+    keys = {name: a.dest for a in sub._actions if a.dest not in ("help", "config")
+            for name in (a.dest, *(opt.lstrip("-") for opt in a.option_strings))}
+    unknown = set(cfg) - set(keys)
     if unknown:
         raise _CliError(f"config keys not accepted by {argv[0]!r}: {sorted(unknown)}")
-    sub.set_defaults(**cfg)
+    sub.set_defaults(**{keys[k]: v for k, v in cfg.items()})
 
 
 def run_subcommand(argv) -> int:
@@ -746,11 +610,16 @@ def run_subcommand(argv) -> int:
     """
     argv = list(argv)
     try:
-        top, parser_map = _build_parser()
-        _apply_config(argv, parser_map)
+        top, parsers = _build_parser()
+        _apply_config(argv, parsers)
         args = top.parse_args(argv)
-        _check_required(args)
-        return args.fn(args)
+        spec = _SPECS[args.cmd]
+        missing = [n for n in spec.required if getattr(args, n, None) is None]
+        if missing:
+            raise _CliError(f"{args.cmd}: missing required option(s) {missing}")
+        payload = spec.run(args) if spec.id_keys is None else _run_experiment(spec, args)
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        return 0
     except SystemExit as e:  # argparse --help / --version
         return int(e.code or 0)
     except SolverDiverged as e:

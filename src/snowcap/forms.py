@@ -68,9 +68,7 @@ class SparseForm:
     edges: tuple
     cell_volume: float
     n_cells: int
-    h: float
     dim: int
-    mask_flat: np.ndarray
 
     def energy(self, phi: np.ndarray) -> float:
         """h(phi) for a grid function (flat or grid-shaped)."""
@@ -93,6 +91,24 @@ class SparseForm:
         cols = np.concatenate([jj, ii, ii, jj])
         vals = np.concatenate([-ww, -ww, ww, ww])
         return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    def restrict(self, keep: np.ndarray):
+        """Restrict the form to the cells of a flat boolean mask.
+
+        Returns the kept flat indices, the internal edges (i, j, w) in
+        positions of that index list, and for each kept cell the total
+        weight of its edges to domain cells outside the mask.
+        """
+        ii, jj, ww = self.edges
+        idx = np.flatnonzero(keep)
+        pos = -np.ones(self.n_cells, dtype=np.int64)
+        pos[idx] = np.arange(len(idx))
+        ki, kj = keep[ii], keep[jj]
+        both = ki & kj
+        cross = np.zeros(len(idx))
+        np.add.at(cross, pos[ii[ki & ~kj]], ww[ki & ~kj])
+        np.add.at(cross, pos[jj[kj & ~ki]], ww[kj & ~ki])
+        return idx, (pos[ii[both]], pos[jj[both]], ww[both]), cross
 
 
 def _axis_neighbor_pairs(mask: np.ndarray):
@@ -132,10 +148,31 @@ def assemble_form(field: DistanceField, delta: float, mean: str = "arithmetic") 
         edges=(ii, jj, ww),
         cell_volume=grid.h**d,
         n_cells=grid.n_cells,
-        h=grid.h,
         dim=d,
-        mask_flat=grid.omega_mask.ravel(),
     )
+
+
+def _spd_matrix(edges, diag: np.ndarray) -> csr_matrix:
+    """Laplacian of the internal edges plus a per-cell diagonal term."""
+    ei, ej, ew = edges
+    m = len(diag)
+    full = diag.copy()
+    np.add.at(full, ei, ew)
+    np.add.at(full, ej, ew)
+    rows = np.concatenate([ei, ej, np.arange(m)])
+    cols = np.concatenate([ej, ei, np.arange(m)])
+    vals = np.concatenate([-ew, -ew, full])
+    return csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def _ball(field: DistanceField, z, r: float) -> np.ndarray:
+    """Flat mask of the domain cells whose centre lies strictly within r of z."""
+    grid = field.grid
+    dist = np.linalg.norm(grid.centers() - np.asarray(z, dtype=float), axis=1)
+    region = grid.omega_mask.ravel() & (dist < r)
+    if not region.any():
+        raise EmptyRegion(f"no in-domain cell within {r} of z")
+    return region
 
 
 # --- capacity test functions ---------------------------------------------------
@@ -212,46 +249,6 @@ class CapacityResult:
     psi: np.ndarray | None = None
 
 
-def _region_system(form: SparseForm, free_flat: np.ndarray, ones_flat: np.ndarray):
-    """SPD system for the free cells: (L + h^d I)_FF psi_F = -L_FC 1.
-
-    free_flat / ones_flat are disjoint boolean flat masks (free cells and
-    collar cells pinned at one). Returns (A, b, free_index).
-    """
-    ii, jj, ww = form.edges
-    n = form.n_cells
-    pos = -np.ones(n, dtype=np.int64)
-    free_idx = np.flatnonzero(free_flat)
-    pos[free_idx] = np.arange(len(free_idx))
-    nf = len(free_idx)
-
-    fi, fj = free_flat[ii], free_flat[jj]
-    ci, cj = ones_flat[ii], ones_flat[jj]
-
-    both = fi & fj
-    rows = np.concatenate([pos[ii[both]], pos[jj[both]]])
-    cols = np.concatenate([pos[jj[both]], pos[ii[both]]])
-    vals = np.concatenate([-ww[both], -ww[both]])
-
-    diag = np.full(nf, form.cell_volume)
-    touch_i = fi  # every edge leaving a free cell adds to its diagonal
-    np.add.at(diag, pos[ii[touch_i]], ww[touch_i])
-    touch_j = fj
-    np.add.at(diag, pos[jj[touch_j]], ww[touch_j])
-
-    b = np.zeros(nf)
-    fc = fi & cj
-    np.add.at(b, pos[ii[fc]], ww[fc])
-    cf = fj & ci
-    np.add.at(b, pos[jj[cf]], ww[cf])
-
-    rows = np.concatenate([rows, np.arange(nf)])
-    cols = np.concatenate([cols, np.arange(nf)])
-    vals = np.concatenate([vals, diag])
-    A = csr_matrix((vals, (rows, cols)), shape=(nf, nf))
-    return A, b, free_idx
-
-
 def capacity_relaxed(
     field: DistanceField,
     delta: float,
@@ -288,7 +285,9 @@ def capacity_relaxed(
         value = hd * n_collar
         return CapacityResult(value, float(eps), 0, 0.0, psi.reshape(grid.dims))
 
-    A, b, free_idx = _region_system(form, free, collar)
+    # every edge leaving a free cell ends on the collar, where psi = 1
+    free_idx, edges, cross = form.restrict(free)
+    A, b = _spd_matrix(edges, hd + cross), cross
     guess = None
     if x0 is not None:
         guess = np.asarray(x0, dtype=float).ravel()[free_idx]
@@ -339,40 +338,15 @@ def hardy_quotient(
     conjugate gradients with warm starts otherwise).
     """
     grid = field.grid
-    z = np.asarray(z, dtype=float)
-    centers = grid.centers()
-    region = grid.omega_mask.ravel() & (np.linalg.norm(centers - z, axis=1) < r)
-    if not region.any():
-        raise EmptyRegion("no in-domain cell within r of z")
-    idx = np.flatnonzero(region)
-    pos = -np.ones(grid.n_cells, dtype=np.int64)
-    pos[idx] = np.arange(len(idx))
-    m = len(idx)
-
-    c_all = weight_field(field, delta).values.ravel()
     h, d = grid.h, grid.dim
-    scale = h ** (d - 2)
-
-    ii, jj = _axis_neighbor_pairs(grid.omega_mask)
-    keep = region[ii] & region[jj]
-    ei, ej = pos[ii[keep]], pos[jj[keep]]
-    ew = scale * 0.5 * (c_all[ii[keep]] + c_all[jj[keep]])
-
+    form = assemble_form(field, delta)
+    idx, edges, _ = form.restrict(_ball(field, z, r))
+    m = len(idx)
     # faces toward anything outside the support region get the closure weight
-    inside_faces = np.zeros(m)
-    np.add.at(inside_faces, ei, 1.0)
-    np.add.at(inside_faces, ej, 1.0)
-    closure = (2.0 * d - inside_faces) * 2.0 * c_all[idx] * scale
-
-    diag = closure.copy()
-    np.add.at(diag, ei, ew)
-    np.add.at(diag, ej, ew)
-    rows = np.concatenate([ei, ej, np.arange(m)])
-    cols = np.concatenate([ej, ei, np.arange(m)])
-    vals = np.concatenate([-ew, -ew, diag])
-    K = csr_matrix((vals, (rows, cols)), shape=(m, m))
-
-    mass = grid.h**d * _clamped_distance(field).ravel()[idx] ** (delta - 2.0)
+    inside_faces = np.bincount(edges[0], minlength=m) + np.bincount(edges[1], minlength=m)
+    dist = _clamped_distance(field).ravel()[idx]
+    K = _spd_matrix(edges, (2.0 * d - inside_faces) * 2.0 * dist**delta * h ** (d - 2))
+    mass = h**d * dist ** (delta - 2.0)
 
     def rayleigh(v):
         kv = K @ v
@@ -429,11 +403,7 @@ def collar_integral(field: DistanceField, delta: float, z, rho: float, tau: floa
     grid = field.grid
     if not 0.0 < tau < rho:
         raise ValueError("need 0 < tau < rho")
-    z = np.asarray(z, dtype=float)
-    centers = grid.centers()
-    region = grid.omega_mask.ravel() & (np.linalg.norm(centers - z, axis=1) < rho)
-    if not region.any():
-        raise EmptyRegion("no in-domain cell within rho of z")
+    region = _ball(field, z, rho)
     dvals = np.minimum(field.values.ravel()[region], 1.0)
     reg = np.maximum(np.maximum(dvals, tau), grid.h / 2.0)
     return float(grid.h**grid.dim * np.sum(reg ** (delta - 2.0)))

@@ -10,33 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+import warnings
+from dataclasses import dataclass, field, fields
 
-from .simsys import koch_snowflake, vicsek, cantor_dust, similarity_dimension, critical_delta
-
-_MAKERS = {
-    "koch": lambda lam, dim, depth: koch_snowflake(lam, depth),
-    "vicsek": lambda lam, dim, depth: vicsek(lam, dim, depth),
-    "cantor-dust": lambda lam, dim, depth: cantor_dust(lam, dim, depth),
-}
+from .simsys import named_family, similarity_dimension, critical_delta
 
 _VALIDATION_TOL = 1e-9
-
-
-def make_geometry(family: str, lam: float, dim: int, depth: int):
-    """Realize a named family; `cantor` is accepted for `cantor-dust`."""
-    key = "cantor-dust" if family == "cantor" else family
-    if key not in _MAKERS:
-        raise ValueError(f"unknown family {family!r}")
-    if key == "koch" and dim != 2:
-        raise ValueError("koch snowflakes are planar; use --d 2")
-    return _MAKERS[key](lam, dim, depth)
-
-
-def family_dimension(family: str, lam: float, dim: int) -> float:
-    """Similarity dimension of a named family, via the moment equation."""
-    system = make_geometry(family, lam, dim, 1).system
-    return similarity_dimension(system)
+# JSON names of the record fields whose attribute names differ
+_JSON_NAMES = {"lam": "lambda", "dim": "d"}
 
 
 @dataclass(frozen=True)
@@ -58,46 +40,14 @@ class ExperimentRecord:
     version: str = ""
 
     def to_json(self) -> str:
-        payload = {
-            "id": self.id,
-            "op": self.op,
-            "family": self.family,
-            "lambda": self.lam,
-            "depth": self.depth,
-            "d": self.dim,
-            "s": self.s,
-            "delta": self.delta,
-            "delta_c": self.delta_c,
-            "resolution": self.resolution,
-            "outputs": self.outputs,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            "wall_time": self.wall_time,
-            "version": self.version,
-        }
+        payload = {_JSON_NAMES.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
         raw = json.loads(line)
-        rec = cls(
-            id=raw["id"],
-            op=raw["op"],
-            family=raw["family"],
-            lam=raw["lambda"],
-            depth=raw["depth"],
-            dim=raw["d"],
-            s=raw["s"],
-            delta=raw["delta"],
-            delta_c=raw["delta_c"],
-            resolution=raw["resolution"],
-            outputs=raw["outputs"],
-            tolerances=raw["tolerances"],
-            seed=raw["seed"],
-            wall_time=raw["wall_time"],
-            version=raw["version"],
-        )
-        s_check = family_dimension(rec.family, rec.lam, rec.dim)
+        rec = cls(**{f.name: raw[_JSON_NAMES.get(f.name, f.name)] for f in fields(cls)})
+        s_check = similarity_dimension(named_family(rec.family).system(rec.lam, rec.dim))
         if abs(s_check - rec.s) > _VALIDATION_TOL:
             raise ValueError(f"record {rec.id}: stored s {rec.s} != recomputed {s_check}")
         dc_check = critical_delta(s_check, rec.dim)
@@ -122,31 +72,61 @@ def derive_seed(top_seed: int, rid: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _parses(line: str) -> bool:
+    try:
+        json.loads(line)
+    except json.JSONDecodeError:
+        return False
+    return True
+
+
 def append_record(path: str, rec: ExperimentRecord) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(rec.to_json() + "\n")
+    """Append one record as a single write.
+
+    A final line without its newline is a write cut short: it is truncated
+    when it does not parse, and terminated when it does, so the new record
+    starts on its own line.
+    """
+    with open(path, "a+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - 1, 0))
+        if size and fh.read(1) != b"\n":
+            fh.seek(0)
+            data = fh.read()
+            cut = data.rfind(b"\n") + 1
+            if _parses(data[cut:].decode("utf-8", "replace")):
+                fh.write(b"\n")
+            else:
+                fh.truncate(cut)
+        fh.write((rec.to_json() + "\n").encode("utf-8"))
+
+
+def _stream_lines(path: str) -> list[str]:
+    """Non-empty lines of a record stream.
+
+    An unterminated final line that does not parse is a write cut short by a
+    crash; it is skipped with a RuntimeWarning. A bad line anywhere else is
+    left for the caller's parser to reject.
+    """
+    with open(path, encoding="utf-8") as fh:
+        *lines, tail = fh.read().split("\n")
+    lines = [ln for ln in lines if ln.strip()]
+    if tail.strip():
+        if _parses(tail):
+            lines.append(tail)
+        else:
+            warnings.warn(f"{path}: skipping torn final record ({len(tail)} chars)", RuntimeWarning)
+    return lines
 
 
 def load_records(path: str) -> list[ExperimentRecord]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(ExperimentRecord.from_json(line))
-    return out
+    return [ExperimentRecord.from_json(line) for line in _stream_lines(path)]
 
 
 def load_ids(path: str) -> set[str]:
     """Ids already present in a record stream; empty if the file is absent."""
     try:
-        fh = open(path, encoding="utf-8")
+        lines = _stream_lines(path)
     except FileNotFoundError:
         return set()
-    with fh:
-        ids = set()
-        for line in fh:
-            line = line.strip()
-            if line:
-                ids.add(json.loads(line)["id"])
-        return ids
+    return {json.loads(line)["id"] for line in lines}

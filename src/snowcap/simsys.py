@@ -2,15 +2,17 @@
 
 A boundary is described by an iterated system of contracting similarities.
 The module solves the Moran equation for the similarity dimension, exposes the
-uniqueness threshold ``critical_delta``, and realizes the three named families
-(Koch snowflake, Vicsek cross, Cantor dust) as finite unions of primitives
-(segments in the plane, axis-aligned boxes otherwise) suitable for gridding.
+uniqueness threshold ``critical_delta``, and describes the three named
+families (Koch snowflake, Vicsek cross, Cantor dust) in one table,
+``FAMILIES``, that realizes each as a finite union of primitives (segments in
+the plane, axis-aligned boxes otherwise) suitable for gridding.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +24,9 @@ __all__ = [
     "BoundaryGeometry",
     "similarity_dimension",
     "critical_delta",
+    "Family",
+    "FAMILIES",
+    "named_family",
     "koch_snowflake",
     "vicsek",
     "cantor_dust",
@@ -31,16 +36,6 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
-
-# primitive-count guardrails; semantics are unchanged by raising them
-DEPTH_CAPS = {
-    ("koch", 2): 10,
-    ("vicsek", 2): 9,
-    ("vicsek", 3): 6,
-    ("cantor-dust", 1): 20,
-    ("cantor-dust", 2): 11,
-    ("cantor-dust", 3): 7,
-}
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class SimilaritySystem:
     ----------
     dim : ambient dimension d >= 1.
     maps : the contracting similarities, all acting on R^d.
-    family : one of "koch", "vicsek", "cantor-dust", "custom".
+    family : a key of FAMILIES, or "custom".
     lam : generator parameter for the named families, None for "custom".
     """
 
@@ -100,12 +95,6 @@ class SimilaritySystem:
         for m in maps:
             if not isinstance(m, Similarity) or m.dim != self.dim:
                 raise ValueError("all maps must be Similarity instances in the ambient dimension")
-        if self.family not in ("koch", "vicsek", "cantor-dust", "custom"):
-            raise ValueError(f"unknown family tag {self.family!r}")
-        if self.family == "koch" and not 0.0 < self.lam <= 1.0 / 3.0:
-            raise ValueError("koch requires lambda in (0, 1/3]")
-        if self.family in ("vicsek", "cantor-dust") and not 0.0 < self.lam < 0.5:
-            raise ValueError(f"{self.family} requires lambda in (0, 1/2)")
         object.__setattr__(self, "maps", maps)
 
     @property
@@ -213,49 +202,35 @@ class BoundaryGeometry:
         return flat.min(axis=0), flat.max(axis=0)
 
 
-def _check_depth(family: str, dim: int, depth: int, max_depth: int | None):
-    cap = max_depth if max_depth is not None else DEPTH_CAPS.get((family, dim), 10)
-    if depth > cap:
-        raise DepthOverflow(f"{family} depth {depth} exceeds cap {cap}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-
-
 def _rot2(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
 
 
-def _koch_system(lam: float) -> SimilaritySystem:
+def _koch_maps(lam: float, dim: int) -> tuple:
     # four maps acting on the base segment (0,0)-(1,0); the replaced middle
     # portion bulges to the right of the direction of travel so that a
     # counterclockwise polygon grows outward
     alpha = (1.0 - lam) / 2.0
     apex = np.array([alpha + lam / 2.0, -lam * np.sqrt(3) / 2.0])
     eye = np.eye(2)
-    maps = (
+    return (
         Similarity(alpha, eye, np.zeros(2)),
         Similarity(lam, _rot2(-np.pi / 3), np.array([alpha, 0.0])),
         Similarity(lam, _rot2(np.pi / 3), apex),
         Similarity(alpha, eye, np.array([alpha + lam, 0.0])),
     )
-    return SimilaritySystem(2, maps, family="koch", lam=lam)
 
 
-def _cube_corner_maps(lam: float, dim: int):
+def _cube_corner_maps(lam: float, dim: int) -> tuple:
     corners = np.stack(np.meshgrid(*([[0.0, 1.0]] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     eye = np.eye(dim)
-    return [Similarity(lam, eye, c * (1.0 - lam)) for c in corners]
+    return tuple(Similarity(lam, eye, c * (1.0 - lam)) for c in corners)
 
 
-def _vicsek_system(lam: float, dim: int) -> SimilaritySystem:
-    maps = _cube_corner_maps(lam, dim)
-    maps.append(Similarity(1.0 - 2.0 * lam, np.eye(dim), np.full(dim, lam)))
-    return SimilaritySystem(dim, tuple(maps), family="vicsek", lam=lam)
-
-
-def _cantor_system(lam: float, dim: int) -> SimilaritySystem:
-    return SimilaritySystem(dim, tuple(_cube_corner_maps(lam, dim)), family="cantor-dust", lam=lam)
+def _vicsek_maps(lam: float, dim: int) -> tuple:
+    centre = Similarity(1.0 - 2.0 * lam, np.eye(dim), np.full(dim, lam))
+    return _cube_corner_maps(lam, dim) + (centre,)
 
 
 def realize(system: SimilaritySystem, depth: int, base: np.ndarray, kind: str) -> np.ndarray:
@@ -277,6 +252,93 @@ def realize(system: SimilaritySystem, depth: int, base: np.ndarray, kind: str) -
     return prims
 
 
+def _koch_primitives(system: SimilaritySystem, depth: int) -> np.ndarray:
+    """The curve on each side of the unit triangle: a counterclockwise polygon."""
+    curve = realize(system, depth, np.array([[[0.0, 0.0], [1.0, 0.0]]]), "segments")
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2.0]])
+    sides = []
+    for i in range(3):
+        a, b = tri[i], tri[(i + 1) % 3]
+        e = b - a
+        R = np.array([[e[0], -e[1]], [e[1], e[0]]])  # rotate+scale (0,0)-(1,0) onto a-b
+        sides.append(curve @ R.T + a)
+    return np.concatenate(sides)
+
+
+def _cube_primitives(system: SimilaritySystem, depth: int) -> np.ndarray:
+    """The depth-`depth` images of the unit cube."""
+    base = np.array([np.stack([np.zeros(system.dim), np.ones(system.dim)])])
+    return realize(system, depth, base, "boxes")
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named boundary family: maps(lam, dim) builds its similarities for lam
+    in (0, lam_max] (open when lam_max_open); depth_caps maps each supported
+    dimension to a depth guardrail on the primitive count (raising it changes
+    no result); primitives(system, depth) realizes the base set, whose kind
+    and domain_rule the geometry carries."""
+
+    name: str
+    maps: Callable
+    lam_max: float
+    lam_max_open: bool
+    depth_caps: dict
+    primitives: Callable
+    kind: str
+    domain_rule: str
+
+    def system(self, lam: float, dim: int) -> SimilaritySystem:
+        if dim not in self.depth_caps:
+            raise ValueError(f"{self.name} realization supports d in {sorted(self.depth_caps)}")
+        if not (0.0 < lam < self.lam_max if self.lam_max_open else 0.0 < lam <= self.lam_max):
+            bracket = ")" if self.lam_max_open else "]"
+            raise ValueError(f"{self.name} requires lambda in (0, {self.lam_max:.6g}{bracket}")
+        return SimilaritySystem(dim, self.maps(lam, dim), family=self.name, lam=lam)
+
+    def approx_error(self, system: SimilaritySystem, depth: int) -> float:
+        """Hausdorff error of a realization: r_max^depth times the diameter of
+        the base primitive (1 for the unit segment, sqrt(d) for the cube)."""
+        unit = 1.0 if self.kind == "segments" else np.sqrt(system.dim)
+        return unit * float(system.ratios.max()) ** depth
+
+    def geometry(
+        self, lam: float, dim: int, depth: int, max_depth: int | None = None
+    ) -> BoundaryGeometry:
+        """Realize the family at a depth; max_depth overrides the depth cap."""
+        system = self.system(lam, dim)
+        cap = self.depth_caps[dim] if max_depth is None else max_depth
+        if depth > cap:
+            raise DepthOverflow(f"{self.name} depth {depth} exceeds cap {cap}")
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        return BoundaryGeometry(
+            dim, self.kind, self.primitives(system, depth), depth,
+            self.approx_error(system, depth), self.domain_rule, system,
+        )
+
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("koch", _koch_maps, 1.0 / 3.0, False, {2: 10},
+               _koch_primitives, "segments", "interior"),
+        Family("vicsek", _vicsek_maps, 0.5, True, {2: 9, 3: 6},
+               _cube_primitives, "boxes", "complement"),
+        Family("cantor-dust", _cube_corner_maps, 0.5, True, {1: 20, 2: 11, 3: 7},
+               _cube_primitives, "boxes", "complement"),
+    )
+}
+
+
+def named_family(name: str) -> Family:
+    """The FAMILIES entry for a name; `cantor` is accepted for `cantor-dust`."""
+    family = FAMILIES.get("cantor-dust" if name == "cantor" else name)
+    if family is None:
+        raise ValueError(f"unknown family {name!r}")
+    return family
+
+
 def koch_snowflake(lam: float, depth: int, max_depth: int | None = None) -> BoundaryGeometry:
     """Koch snowflake boundary at a finite depth.
 
@@ -288,48 +350,20 @@ def koch_snowflake(lam: float, depth: int, max_depth: int | None = None) -> Boun
     Returns a closed counterclockwise polygon with 3 * 4^depth segments and
     outward-pointing bumps; the domain is the polygon interior.
     """
-    system = _koch_system(lam)
-    _check_depth("koch", 2, depth, max_depth)
-    base = np.array([[[0.0, 0.0], [1.0, 0.0]]])
-    curve = realize(system, depth, base, "segments")
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2.0]])
-    sides = []
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        e = b - a
-        R = np.array([[e[0], -e[1]], [e[1], e[0]]])  # rotate+scale (0,0)-(1,0) onto a-b
-        sides.append(curve @ R.T + a)
-    segs = np.concatenate(sides)
-    r_max = float(system.ratios.max())
-    return BoundaryGeometry(2, "segments", segs, depth, r_max**depth, "interior", system)
+    return FAMILIES["koch"].geometry(lam, 2, depth, max_depth)
 
 
 def vicsek(lam: float, dim: int, depth: int, max_depth: int | None = None) -> BoundaryGeometry:
     """Vicsek cross boundary: 2^d corner cubes of side lam plus a central cube
     of side 1-2*lam, iterated `depth` times inside the unit cube. The domain
     is the complement of the box union."""
-    if dim not in (2, 3):
-        raise ValueError("vicsek realization supports d in {2, 3}")
-    system = _vicsek_system(lam, dim)
-    _check_depth("vicsek", dim, depth, max_depth)
-    base = np.array([np.stack([np.zeros(dim), np.ones(dim)])])
-    boxes = realize(system, depth, base, "boxes")
-    r_max = float(system.ratios.max())
-    err = np.sqrt(dim) * r_max**depth
-    return BoundaryGeometry(dim, "boxes", boxes, depth, err, "complement", system)
+    return FAMILIES["vicsek"].geometry(lam, dim, depth, max_depth)
 
 
 def cantor_dust(lam: float, dim: int, depth: int, max_depth: int | None = None) -> BoundaryGeometry:
     """Cantor dust boundary: 2^d corner cubes of side lam per round. The dust
     is totally disconnected; the domain is the complement of the box union."""
-    if dim not in (1, 2, 3):
-        raise ValueError("cantor dust realization supports d in {1, 2, 3}")
-    system = _cantor_system(lam, dim)
-    _check_depth("cantor-dust", dim, depth, max_depth)
-    base = np.array([np.stack([np.zeros(dim), np.ones(dim)])])
-    boxes = realize(system, depth, base, "boxes")
-    err = np.sqrt(dim) * lam**depth
-    return BoundaryGeometry(dim, "boxes", boxes, depth, err, "complement", system)
+    return FAMILIES["cantor-dust"].geometry(lam, dim, depth, max_depth)
 
 
 # --- line-oriented geometry exchange format ---------------------------------
@@ -366,16 +400,7 @@ def geometry_from_text(text: str) -> BoundaryGeometry:
     kv = dict(part.split("=", 1) for part in head[1:])
     dim, depth = int(kv["d"]), int(kv["depth"])
     family, rule = kv["family"], kv["rule"]
-    lam = None if kv["lambda"] == "nan" else float(kv["lambda"])
-
-    if family == "koch":
-        system = _koch_system(lam)
-    elif family == "vicsek":
-        system = _vicsek_system(lam, dim)
-    elif family == "cantor-dust":
-        system = _cantor_system(lam, dim)
-    else:
-        system = None
+    lam = float(kv["lambda"])
 
     kinds = {ln.split()[0] for ln in lines[1:]}
     rows = np.array([[float(v) for v in ln.split()[1:]] for ln in lines[1:]])
@@ -385,9 +410,13 @@ def geometry_from_text(text: str) -> BoundaryGeometry:
         prims, kind = rows.reshape(-1, 2, dim), "boxes"
     else:
         raise ValueError(f"mixed or unknown primitive tags {kinds}")
-    if system is not None:
-        r_max = float(system.ratios.max())
-        err = r_max**depth if kind == "segments" else np.sqrt(dim) * r_max**depth
-    else:
-        err = 0.0
+    if family == "custom":
+        if not np.isnan(lam):
+            raise ValueError(f"custom geometries carry lambda=nan, got {lam!r}")
+        return BoundaryGeometry(dim, kind, prims, depth, 0.0, rule)
+    named = named_family(family)
+    if kind != named.kind:
+        raise ValueError(f"{family} geometries hold {named.kind}, not {kind}")
+    system = named.system(lam, dim)
+    err = named.approx_error(system, depth)
     return BoundaryGeometry(dim, kind, prims, depth, err, rule, system)

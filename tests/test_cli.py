@@ -1,12 +1,14 @@
 """Command-line driver: records, config files, resumable sweeps, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import snowcap.cli
 from snowcap.cli import run_subcommand, choose_depth
-from snowcap.records import ExperimentRecord, derive_seed, load_records, load_ids
+from snowcap.records import ExperimentRecord, append_record, derive_seed, load_records, load_ids
 from snowcap.simsys import geometry_from_text
 
 
@@ -130,13 +132,51 @@ def test_walk_derives_seed_per_experiment(tmp_path, capsys):
     assert 0.0 <= a.outputs["p_hat"] <= 1.0
 
 
+_C = ["--family", "cantor", "--lambda", "0.25", "--d", "2", "--resolution", "32"]
+_SWEEP4 = ["sweep", "--family", "cantor", "--d", "2", "--lambdas", "0.15:0.4:2",
+           "--deltas", "0:2.5:2", "--resolution", "16"]
+
+# record ids (and the walk's derived seed) of existing parameter sets; sweeps
+# resume by id, so none of these may ever change
+PINNED = [
+    (["dimension", "--family", "koch", "--lambda", "0.3333333333"], ["4b84cbb57628ef0f"], None),
+    (["capacity", *_C, "--delta", "0.5"], ["1fbd51cf03ae65f1"], None),
+    (["hardy", *_C, "--delta", "0.5", "--z", "0.5,0.5", "--r", "12h"],
+     ["8c6310787fce60f8"], None),
+    (["collar", *_C, "--delta", "0.5", "--z", "0.5,0.5", "--rho", "0.3", "--taus", "1h:4h:4"],
+     ["e74a8aaee69c3ab7"], None),
+    (["walk", *_C, "--delta", "0.0", "--start", "0.5,0.5", "--trials", "50",
+      "--horizon", "0.05"], ["b181be7ca4be1f8e"], [921340954597563546]),
+    (["capacity", "--family", "cantor-dust", "--lambda", "0.25", "--d", "2",
+      "--resolution", "32", "--delta", "0.5"], ["55ada9bb051ac50e"], None),
+    (["capacity", "--family", "vicsek", "--lambda", "0.3", "--d", "2", "--resolution", "32",
+      "--delta", "1.0"], ["25d8975cdfa12536"], None),
+    (["hardy", "--family", "koch", "--lambda", "0.25", "--resolution", "64", "--delta", "1.0",
+      "--z", "0.5,0.3", "--r", "0.2"], ["605bb7f05533a3f8"], None),
+    (_SWEEP4, ["56b4fca96948f532", "650237e7f43a251b", "7f22ea137668d5ba", "0c1f4516e222bb9a"],
+     None),
+]
+
+
+@pytest.mark.parametrize("argv, ids, seeds", PINNED)
+def test_record_ids_are_pinned(argv, ids, seeds, tmp_path, capsys):
+    path = str(tmp_path / "r.jsonl")
+    rc, _, _ = run(capsys, *argv, "--out" if argv[0] == "sweep" else "--records", path)
+    assert rc == 0
+    recs = load_records(path)
+    assert [r.id for r in recs] == ids
+    if seeds is not None:
+        assert [r.seed for r in recs] == seeds
+
+
 # --- config files and option validation --------------------------------------
 
 
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"family": "cantor", "lambda": 0.25, "d": 2, "resolution": 16, "delta": 0.5}
+        {"family": "cantor", "lambda": 0.25, "d": 2, "resolution": 16, "delta": 0.5,
+         "cg-tol": 1e-9}
     ))
     recs = str(tmp_path / "r.jsonl")
     rc, _, _ = run(capsys, "capacity", "--config", str(cfg), "--delta", "1.25",
@@ -146,6 +186,7 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     assert rec.delta == 1.25  # flag beats config
     assert rec.resolution == 16  # config beats built-in default
     assert rec.family == "cantor"
+    assert rec.tolerances == {"cg_tol": 1e-9}  # keys are long option names
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -258,6 +299,53 @@ def test_sweep_thread_env(monkeypatch, tmp_path, capsys):
                      "--resolution", "16", "--out", str(tmp_path / "s.jsonl"))
     assert rc == 2
     assert "SNOWCAP_THREADS" in json.loads(err)["message"]
+
+
+def test_sweep_builds_fields_through_module_hook(monkeypatch, tmp_path, capsys):
+    # benchmarks capture fields by swapping the module attribute
+    build, calls = snowcap.cli.distance_field, []
+
+    def counting(geom, grid):
+        calls.append(grid.dims)
+        return build(geom, grid)
+
+    monkeypatch.setattr(snowcap.cli, "distance_field", counting)
+    rc, _, _ = run(capsys, *_SWEEP4, "--out", str(tmp_path / "r.jsonl"))
+    assert rc == 0
+    assert len(calls) == 4  # coarse and fine grid for each of two lambdas
+
+
+def test_sweep_resumes_after_torn_final_record(tmp_path, capsys):
+    out = str(tmp_path / "r.jsonl")
+    assert run(capsys, *_SWEEP4, "--out", out)[0] == 0
+    lines = open(out).read().splitlines()
+    want = sorted(json.loads(ln)["id"] for ln in lines)
+    # a crash halfway through the last append leaves an unterminated fragment
+    with open(out, "w") as fh:
+        fh.write("".join(ln + "\n" for ln in lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    with pytest.warns(RuntimeWarning, match="torn"):
+        assert len(load_records(out)) == 3
+    with pytest.warns(RuntimeWarning, match="torn"):
+        rc, stdout, _ = run(capsys, *_SWEEP4, "--out", out)
+    assert rc == 0
+    assert json.loads(stdout)["records"] == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sorted(r.id for r in load_records(out)) == want
+        # a complete final record without its newline is kept, and the next
+        # append starts on a line of its own
+        with open(out, "w") as fh:
+            fh.write("\n".join(lines))
+        assert sorted(load_ids(out)) == want
+        append_record(out, ExperimentRecord.from_json(lines[0]))
+        assert len(load_records(out)) == 5
+    # a torn line anywhere but at the end is not a cut write: loading fails
+    with open(out, "w") as fh:
+        fh.write(lines[0][:40] + "\n" + "".join(ln + "\n" for ln in lines[1:]))
+    with pytest.raises(json.JSONDecodeError):
+        load_ids(out)
+    with pytest.raises(json.JSONDecodeError):
+        load_records(out)
 
 
 def test_report_writes_csv_and_svg(sweep_stream, tmp_path, capsys):

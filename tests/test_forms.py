@@ -3,7 +3,7 @@ quotients, and collar integrals."""
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from snowcap import (
     EmptyRegion,
@@ -289,6 +289,42 @@ def test_hardy_1d_matches_dense_eigensolver():
     )[0]
     b = hardy_quotient(line_field(n), delta, (0.0,), 1.0, tol=1e-9)
     assert abs(b - ref) <= 1e-5 * ref
+
+
+def test_hardy_2d_matches_dense_eigensolver():
+    # independent per-cell build of the closed stiffness/mass pencil on a
+    # Koch ball cut by the boundary (1398 cells): every face that does not
+    # join two cells of the ball gets the closure weight 2 c_i h^(d-2)
+    geom = koch_snowflake(1 / 3, 4)
+    field = distance_field(geom, build_grid(geom, 64))
+    lo, hi = geom.bounds()
+    z, r, delta = 0.5 * (lo + hi) + np.array([0.1, 0.0]), 0.4, 1.0
+    grid = field.grid
+    h = grid.h
+    dist = np.maximum(np.minimum(field.values, 1.0), h / 2)
+    c = dist**delta
+    centers = grid.centers().reshape(grid.dims + (2,))
+    ball = grid.omega_mask & (np.linalg.norm(centers - z, axis=-1) < r)
+    cells = list(zip(*np.nonzero(ball)))
+    pos = {cell: k for k, cell in enumerate(cells)}
+    stiff = np.zeros((len(cells), len(cells)))
+    mass = np.zeros(len(cells))
+    closed = {"outside the domain": 0, "beyond the ball": 0}
+    for k, (i, j) in enumerate(cells):
+        mass[k] = h**2 * dist[i, j] ** (delta - 2)
+        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if nb in pos:
+                w = (c[i, j] + c[nb]) / 2
+                stiff[k, k] += w
+                stiff[k, pos[nb]] -= w
+            else:
+                stiff[k, k] += 2 * c[i, j]
+                inside = all(0 <= x < n for x, n in zip(nb, grid.dims)) and grid.omega_mask[nb]
+                closed["beyond the ball" if inside else "outside the domain"] += 1
+    assert len(cells) == 1398 and min(closed.values()) > 0
+    ref = eigh(stiff, np.diag(mass), eigvals_only=True, subset_by_index=[0, 0])[0]
+    b = hardy_quotient(field, delta, z, r, tol=1e-10)
+    assert abs(b - ref) <= 1e-8 * ref
 
 
 def test_hardy_vector_consistency():

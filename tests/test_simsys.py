@@ -263,6 +263,12 @@ def test_geometry_text_roundtrip_named():
         assert back.system.lam == geom.system.lam
         assert np.array_equal(back.primitives, geom.primitives)
         assert abs(back.approx_error - geom.approx_error) < 1e-15
+    # the `cantor` alias resolves to the same family, error bound included
+    geom = cantor_dust(1 / 4, 2, 3)
+    text = geometry_to_text(geom).replace("family=cantor-dust", "family=cantor", 1)
+    back = geometry_from_text(text)
+    assert back.system.family == "cantor-dust"
+    assert back.approx_error == geom.approx_error > 0.0
 
 
 def test_geometry_text_roundtrip_custom():
@@ -275,7 +281,18 @@ def test_geometry_text_roundtrip_custom():
         ]
     )
     geom = BoundaryGeometry(2, "segments", square, 0, 0.0, "interior")
-    back = geometry_from_text(geometry_to_text(geom))
+    text = geometry_to_text(geom)
+    back = geometry_from_text(text)
     assert back.system is None
     assert np.array_equal(back.primitives, square)
     assert back.domain_rule == "interior"
+    # an unknown tag, a named family without lambda, or a custom one with a
+    # lambda must not load as a geometry without its system
+    named = geometry_to_text(cantor_dust(1 / 4, 2, 1))
+    for bad in (
+        named.replace("family=cantor-dust", "family=vicsk"),
+        named.replace("lambda=0.25", "lambda=nan"),
+        text.replace("lambda=nan", "lambda=0.25"),
+    ):
+        with pytest.raises(ValueError):
+            geometry_from_text(bad)
