@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -217,11 +217,13 @@ def _walk(args, field, params):
         start=start,
         horizon=args.horizon,
         trials=args.trials,
-        seed=derive_seed(args.seed, record_id(params)),
+        seed=args.seed,
         absorb_eps=_parse_length(args.absorb_eps, field.grid.h),
     )
+    # validated first: the record id cannot hash a non-finite horizon
+    cfg = replace(cfg, seed=derive_seed(args.seed, record_id(params)))
     res = walk_absorption(form, field, cfg)
-    keys = ("p_hat", "stderr", "absorbed", "trials", "clamp_events")
+    keys = ("p_hat", "stderr", "absorbed", "trials", "clamp_events", "steps", "rounds")
     return {k: getattr(res, k) for k in keys}, {}, cfg.seed
 
 

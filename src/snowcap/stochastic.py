@@ -9,6 +9,7 @@ degenerate weights starve the near-boundary rates and the fraction drops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ from .forms import SparseForm
 __all__ = ["WalkConfig", "WalkResult", "walk_absorption"]
 
 _RATE_CAP = 1e8
+# Draws hashed per lockstep round: a round advances every live trial by
+# max(1, _ROUND_DRAWS // live) steps.
+_ROUND_DRAWS = 2048
+# Live trials up to which a round steps each trial alone on Python floats:
+# below this, numpy's per-call cost outweighs its vector speed.
+_FEW_LIVE = 16
 
 
 @dataclass(frozen=True)
@@ -26,7 +33,7 @@ class WalkConfig:
     """Parameters of an absorbed-walk experiment.
 
     start     cell index (flat, or a grid multi-index tuple)
-    horizon   diffusion-time budget T
+    horizon   diffusion-time budget T, positive and finite
     trials    number of independent trajectories
     seed      base seed; every (trial, step) draw comes from its own
               counter-indexed substream, so trials are independent and
@@ -41,8 +48,8 @@ class WalkConfig:
     absorb_eps: float
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not self.absorb_eps > 0:
@@ -56,11 +63,12 @@ class WalkResult:
     absorbed: int
     trials: int
     clamp_events: int
+    steps: int  # holds drawn, summed over trials
+    rounds: int  # vectorized lockstep rounds run
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer: bijective avalanche on uint64 counters
-    x = x.copy()
+    # splitmix64 finalizer, in place: bijective avalanche on uint64 counters
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -70,13 +78,32 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _u01(seed: np.uint64, counter: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) draw indexed purely by (seed, counter)."""
-    x = _mix64(seed ^ _mix64(counter))
-    return (x >> np.uint64(11)) * 2.0**-53
+    """Uniform [0,1) draws indexed purely by (seed, counter); consumes counter."""
+    x = _mix64(counter)
+    x ^= seed
+    x = _mix64(x)
+    x >>= np.uint64(11)
+    return x * 2.0**-53
 
 
-def _transition_table(form: SparseForm, idx: np.ndarray):
-    """Dense per-cell neighbor table: indices, cumulative rates, totals."""
+@dataclass(frozen=True)
+class _Jumps:
+    """What a step of one walk reads: tables indexed by domain cell
+    (position in idx), and the horizon."""
+
+    target: np.ndarray  # cell * 2d + slot -> domain cell, or -1 for a collar cell
+    cum_head: list  # cumulative edge rates of every slot but the last, per slot
+    total: np.ndarray  # total exit rate: scales the pick
+    divisor: np.ndarray  # clamped rate that divides the hold, 0 for a zero rate
+    clamped: np.ndarray  # total above _RATE_CAP
+    any_clamped: bool
+    horizon: float
+
+
+def _neighbour_rates(form: SparseForm, idx: np.ndarray):
+    """Dense per-cell neighbour table over the domain cells idx: indices
+    and edge rates, zero-padded to 2d slots. A function of its own so that
+    its sort arrays are freed before the walk's tables are derived."""
     m = len(idx)
     pos = -np.ones(form.n_cells, dtype=np.int64)
     pos[idx] = np.arange(m)
@@ -94,8 +121,96 @@ def _transition_table(form: SparseForm, idx: np.ndarray):
     rates = np.zeros((m, deg))
     nbr[src, slot] = dst
     rates[src, slot] = rr
+    return nbr, rates
+
+
+def _jump_tables(form: SparseForm, idx: np.ndarray, absorbing: np.ndarray,
+                 horizon: float) -> _Jumps:
+    """Tables over the domain cells idx; absorbing flags their collar cells."""
+    nbr, rates = _neighbour_rates(form, idx)
     total = rates.sum(axis=1)
-    return nbr, np.cumsum(rates, axis=1), total
+    clamped = total > _RATE_CAP
+    capped = np.minimum(total, _RATE_CAP)
+    nbr[absorbing[nbr]] = -1
+    return _Jumps(
+        target=nbr.ravel(),
+        cum_head=list(np.cumsum(rates[:, :-1], axis=1).T.copy()),
+        total=total,
+        divisor=np.where(capped > 0, np.maximum(capped, 1e-300), 0.0),
+        clamped=clamped,
+        any_clamped=bool(clamped.any()),
+        horizon=horizon,
+    )
+
+
+def _advance(jumps: _Jumps, cell, t, hold, pick):
+    """Advance a block of trials in lockstep, one step per row of hold/pick.
+
+    Returns the block columns still live (None if all are), their cells
+    and times, and the holds drawn, clamped holds and absorptions.
+    """
+    deg = len(jumps.cum_head) + 1
+    sel = None
+    steps = clamps = absorbed = 0
+    for e, p in zip(hold, pick):
+        if sel is not None:
+            e, p = e[sel], p[sel]
+        m = cell.size
+        steps += m
+        if jumps.any_clamped:
+            clamps += int(np.count_nonzero(jumps.clamped[cell]))
+        # a zero rate divides to an infinite (or NaN) hold: the trial times out
+        t += e / jumps.divisor[cell]
+        live = t <= jumps.horizon
+        # cumulative rates rise along a row, so the slots before the last
+        # that the pick reaches number the slot, capped at deg - 1
+        p = p * jumps.total[cell]
+        slot = cell * deg
+        for c in jumps.cum_head:
+            slot += c[cell] <= p
+        cell = jumps.target[slot]
+        keep = live & (cell >= 0)
+        n_keep = int(np.count_nonzero(keep))
+        absorbed += int(np.count_nonzero(live)) - n_keep
+        if n_keep == m:
+            continue
+        cell, t = cell[keep], t[keep]
+        sel = np.flatnonzero(keep) if sel is None else sel[keep]
+        if not n_keep:
+            break
+    return sel, cell, t, steps, clamps, absorbed
+
+
+def _advance_each(jumps: _Jumps, cell, t, hold, pick):
+    """`_advance` one trial at a time on Python floats, which round exactly
+    as numpy's float64 does; cheaper than numpy calls for a few trials."""
+    # memoryviews index to Python scalars several times faster than .item()
+    target, total, divisor, clamped = (memoryview(a) for a in (
+        jumps.target, jumps.total, jumps.divisor, jumps.clamped))
+    cum_head = [memoryview(col) for col in jumps.cum_head]
+    deg = len(cum_head) + 1
+    keep = np.zeros(cell.size, dtype=bool)
+    steps = clamps = absorbed = 0
+    for i in range(cell.size):
+        c, ti = cell.item(i), t.item(i)
+        for e, u in zip(hold[:, i].tolist(), pick[:, i].tolist()):
+            steps += 1
+            clamps += clamped[c]
+            r = divisor[c]
+            ti = ti + e / r if r > 0 else math.inf
+            if not ti <= jumps.horizon:
+                break
+            p = u * total[c]
+            slot = c * deg
+            for col in cum_head:
+                slot += col[c] <= p
+            c = target[slot]
+            if c < 0:
+                absorbed += 1
+                break
+        else:
+            keep[i], cell[i], t[i] = True, c, ti
+    return keep, cell[keep], t[keep], steps, clamps, absorbed
 
 
 def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> WalkResult:
@@ -108,6 +223,12 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
     reproducible bit-for-bit, partial runs merge by summing hits, and
     trajectories stay coupled pathwise when only the horizon or the collar
     width changes.
+
+    Only live trials are kept, compacted after every step. Each round
+    hashes about _ROUND_DRAWS draws, so when few trials are live it covers
+    many steps, and at most _FEW_LIVE live trials are stepped one by one:
+    the long tail of a few slow trajectories does not pay numpy's per-call
+    cost at every step.
     """
     grid = field.grid
     h = grid.h
@@ -129,51 +250,37 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
         raise ValueError("start cell lies inside the absorbing collar")
 
     idx = np.flatnonzero(mask_flat)
-    nbr, cum, total = _transition_table(form, idx)
-    absorbing = d_flat[idx] < cfg.absorb_eps
-    pos = -np.ones(grid.n_cells, dtype=np.int64)
-    pos[idx] = np.arange(len(idx))
-    start_c = pos[start]
+    jumps = _jump_tables(form, idx, d_flat[idx] < cfg.absorb_eps, cfg.horizon)
 
     n = cfg.trials
     seed = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    trial_ids = np.arange(n, dtype=np.uint64) << np.uint64(41)
-    where = np.full(n, start_c)
+    # counter low bits of steps 0.._ROUND_DRAWS-1: (step << 1) | {hold 0, pick 1}
+    lanes = (np.arange(_ROUND_DRAWS, dtype=np.uint64) << np.uint64(1)) | np.array(
+        [[0], [1]], dtype=np.uint64)
+    # live trials only: counter base (trial << 41), cell and elapsed time;
+    # every live trial has drawn the same number of holds, `step`
+    base = np.arange(n, dtype=np.uint64) << np.uint64(41)
+    cell = np.full(n, np.searchsorted(idx, start))
     t = np.zeros(n)
-    steps = np.zeros(n, dtype=np.uint64)
-    alive = np.ones(n, dtype=bool)
-    absorbed = 0
-    clamp_events = 0
+    step = 0
+    absorbed = clamp_events = steps = rounds = 0
 
-    while alive.any():
-        ia = np.flatnonzero(alive)
-        ctr = trial_ids[ia] | (steps[ia] << np.uint64(1))
-        u_hold = _u01(seed, ctr)
-        u_pick = _u01(seed, ctr | np.uint64(1))
-        steps[ia] += np.uint64(1)
-
-        rt = total[where[ia]]
-        over = rt > _RATE_CAP
-        clamp_events += int(over.sum())
-        rt = np.minimum(rt, _RATE_CAP)
-        with np.errstate(divide="ignore"):
-            dt = np.where(rt > 0, -np.log1p(-u_hold) / np.maximum(rt, 1e-300), np.inf)
-        t[ia] += dt
-        timed_out = t[ia] > cfg.horizon
-        alive[ia[timed_out]] = False
-        move = ia[~timed_out]
-        if move.size == 0:
-            continue
-        rows = where[move]
-        pick = u_pick[~timed_out] * total[rows]
-        k = (cum[rows] <= pick[:, None]).sum(axis=1)
-        landed = nbr[rows, np.minimum(k, nbr.shape[1] - 1)]
-        where[move] = landed
-        hit = absorbing[landed]
-        if hit.any():
-            absorbed += int(hit.sum())
-            alive[move[hit]] = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while base.size:
+            rounds += 1
+            k = max(1, _ROUND_DRAWS // base.size)
+            u = _u01(seed, base | (lanes[:, :k, None] + np.uint64(2 * step)))
+            step += k
+            advance = _advance if base.size > _FEW_LIVE else _advance_each
+            sel, cell, t, n_steps, n_clamps, n_hits = advance(
+                jumps, cell, t, -np.log1p(-u[0]), u[1])
+            if sel is not None:
+                base = base[sel]
+            steps += n_steps
+            clamp_events += n_clamps
+            absorbed += n_hits
 
     p_hat = absorbed / n
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
-    return WalkResult(float(p_hat), stderr, int(absorbed), int(n), int(clamp_events))
+    return WalkResult(float(p_hat), stderr, int(absorbed), int(n), int(clamp_events),
+                      int(steps), int(rounds))

@@ -132,6 +132,30 @@ def test_walk_derives_seed_per_experiment(tmp_path, capsys):
     assert 0.0 <= a.outputs["p_hat"] <= 1.0
 
 
+def test_walk_record_carries_step_and_round_counts(tmp_path, capsys):
+    recs = str(tmp_path / "r.jsonl")
+    rc, out, _ = run(capsys, "walk", "--family", "cantor", "--lambda", "0.25", "--d", "2",
+                     "--resolution", "32", "--delta", "0.0", "--start", "0.5,0.5",
+                     "--trials", "50", "--horizon", "0.05", "--records", recs)
+    assert rc == 0
+    outputs = load_records(recs)[0].outputs
+    assert outputs == json.loads(out)
+    assert outputs["steps"] >= outputs["trials"]
+    assert 1 <= outputs["rounds"] <= outputs["steps"]
+
+
+def test_walk_rejects_infinite_horizon(tmp_path, capsys):
+    recs = tmp_path / "r.jsonl"
+    rc, out, err = run(capsys, "walk", "--family", "cantor", "--lambda", "0.25", "--d", "2",
+                       "--resolution", "16", "--delta", "0.0", "--start", "0.5,0.5",
+                       "--horizon", "inf", "--records", str(recs))
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "config",
+                               "message": "horizon must be positive and finite"}
+    assert not recs.exists()
+
+
 _C = ["--family", "cantor", "--lambda", "0.25", "--d", "2", "--resolution", "32"]
 _SWEEP4 = ["sweep", "--family", "cantor", "--d", "2", "--lambdas", "0.15:0.4:2",
            "--deltas", "0:2.5:2", "--resolution", "16"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix, diags
+from scipy.sparse.linalg import expm_multiply
 
 from snowcap import (
     Grid,
@@ -13,10 +15,12 @@ from snowcap import (
     build_grid,
     distance_field,
 )
+from snowcap import stochastic
 
 
-def line_field(n):
-    grid = Grid((0.0,), 1.0 / n, (n,), np.ones(n, dtype=bool))
+def line_field(n, mask=None):
+    mask = np.ones(n, dtype=bool) if mask is None else mask
+    grid = Grid((0.0,), 1.0 / n, (n,), mask)
     return DistanceField(grid, grid.axis_centers(0).copy(), 0.0, 1.0)
 
 
@@ -106,7 +110,107 @@ def test_config_validation(line64):
         walk_absorption(form, df, WalkConfig(-3, 1.0, 10, 1, 3 / 64))
 
 
+def test_horizon_must_be_finite():
+    # an endless horizon never ends a trial that cannot reach the collar
+    for horizon in (np.inf, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            WalkConfig(32, horizon, 100, 1, 0.05)
+
+
 def test_grid_mismatch_raises(line64, dust128):
     _, form = line64
     with pytest.raises(ValueError):
         walk_absorption(form, dust128, WalkConfig(0, 1.0, 10, 1, 0.05))
+
+
+def _isolated_start():
+    # domain cell 32 has no domain neighbour, so its exit rate is zero
+    mask = np.ones(64, dtype=bool)
+    mask[[31, 33]] = False
+    df = line_field(64, mask)
+    return df, assemble_form(df, 0.0), WalkConfig(32, 1.0, 50, 11, 2.5 / 64)
+
+
+def _pinned_case(name, dust128):
+    h = dust128.grid.h
+    if name == "dust-delta0-tail":
+        # nearly all absorbed at once, two trials left wandering for ~1,000 rounds
+        return dust128, assemble_form(dust128, 0.0), WalkConfig((16, 16), 0.02, 3000, 5, 4 * h)
+    if name == "dust-delta2":
+        return dust128, assemble_form(dust128, 2.0), WalkConfig((16, 16), 0.3, 3000, 5, 4 * h)
+    if name == "rate-clamp":
+        n = 1 << 17
+        df = line_field(n)
+        return df, assemble_form(df, 0.0), WalkConfig(n // 2, 1e-7, 20, 3, 2.5 / n)
+    return _isolated_start()
+
+
+# (p_hat, absorbed, clamp_events) and the holds drawn, recorded with the
+# one-step-per-round walk that preceded the compacted multi-step rounds
+PINNED_WALKS = {
+    "dust-delta0-tail": (0.9993333333333333, 2998, 0, 272371),
+    "dust-delta2": (0.228, 684, 0, 215952),
+    "rate-clamp": (0.0, 0, 225, 225),
+    "isolated-start": (0.0, 0, 0, 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WALKS))
+def test_walk_outputs_are_pinned(name, dust128):
+    df, form, cfg = _pinned_case(name, dust128)
+    res = walk_absorption(form, df, cfg)
+    assert (res.p_hat, res.absorbed, res.clamp_events) == PINNED_WALKS[name][:3]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WALKS))
+@pytest.mark.parametrize("round_draws, few_live", [
+    (stochastic._ROUND_DRAWS, stochastic._FEW_LIVE), (1, 0), (2048, 0), (2048, 10**6)])
+def test_round_shapes_agree(name, round_draws, few_live, dust128, monkeypatch):
+    # beside the module's own round shape: one step per round with numpy
+    # only, the plain lockstep walk, and every trial stepped alone on floats
+    monkeypatch.setattr(stochastic, "_ROUND_DRAWS", round_draws)
+    monkeypatch.setattr(stochastic, "_FEW_LIVE", few_live)
+    df, form, cfg = _pinned_case(name, dust128)
+    res = walk_absorption(form, df, cfg)
+    p_hat, absorbed, clamp_events, steps = PINNED_WALKS[name]
+    assert (res.p_hat, res.absorbed, res.clamp_events, res.steps) == (
+        p_hat, absorbed, clamp_events, steps)
+    assert 1 <= res.rounds <= res.steps
+
+
+def test_isolated_start_times_out_on_first_hold():
+    df, form, cfg = _isolated_start()
+    res = walk_absorption(form, df, cfg)
+    assert (res.absorbed, res.steps, res.rounds) == (0, cfg.trials, 1)
+
+
+def _exact_absorption(form, field, start, horizon, eps):
+    """P(start reaches the collar by `horizon`): expm(T Q) 1_collar at start,
+    Q the walk's generator with the collar cells made absorbing."""
+    ii, jj, ww = form.edges
+    n = form.n_cells
+    r = ww / form.cell_volume
+    q = coo_matrix((np.r_[r, r], (np.r_[ii, jj], np.r_[jj, ii])), shape=(n, n)).tocsr()
+    q = q - diags(np.asarray(q.sum(axis=1)).ravel())
+    collar = field.values.ravel() < eps
+    q = diags((~collar).astype(float)) @ q
+    return expm_multiply(horizon * q, collar.astype(float))[start]
+
+
+@pytest.mark.parametrize("res, delta, horizon, collar_cells", [
+    (64, 0.0, 0.03, 4),
+    (64, 1.0, 0.2, 3),
+    (64, 2.0, 2.0, 4),
+    (128, 0.0, 0.03, 8),
+])
+def test_walk_matches_exact_absorption(res, delta, horizon, collar_cells):
+    # start in the central gap of the dust, where p lies between 0.25 and 0.55
+    geom = cantor_dust(0.25, 2, 3 if res == 64 else 4)
+    df = distance_field(geom, build_grid(geom, res))
+    form = assemble_form(df, delta)
+    start = tuple(n // 2 for n in df.grid.dims)
+    eps = collar_cells * df.grid.h
+    out = walk_absorption(form, df, WalkConfig(start, horizon, 4000, 17, eps))
+    p = _exact_absorption(form, df, np.ravel_multi_index(start, df.grid.dims), horizon, eps)
+    assert 0.2 < p < 0.6
+    assert abs(out.p_hat - p) <= 3.0 * out.stderr
