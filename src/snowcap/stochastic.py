@@ -9,7 +9,6 @@ degenerate weights starve the near-boundary rates and the fraction drops.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,6 @@ _RATE_CAP = 1e8
 # Draws hashed per lockstep round: a round advances every live trial by
 # max(1, _ROUND_DRAWS // live) steps.
 _ROUND_DRAWS = 2048
-# Live trials up to which a round steps each trial alone on Python floats:
-# below this, numpy's per-call cost outweighs its vector speed.
-_FEW_LIVE = 16
 
 
 @dataclass(frozen=True)
@@ -181,38 +177,6 @@ def _advance(jumps: _Jumps, cell, t, hold, pick):
     return sel, cell, t, steps, clamps, absorbed
 
 
-def _advance_each(jumps: _Jumps, cell, t, hold, pick):
-    """`_advance` one trial at a time on Python floats, which round exactly
-    as numpy's float64 does; cheaper than numpy calls for a few trials."""
-    # memoryviews index to Python scalars several times faster than .item()
-    target, total, divisor, clamped = (memoryview(a) for a in (
-        jumps.target, jumps.total, jumps.divisor, jumps.clamped))
-    cum_head = [memoryview(col) for col in jumps.cum_head]
-    deg = len(cum_head) + 1
-    keep = np.zeros(cell.size, dtype=bool)
-    steps = clamps = absorbed = 0
-    for i in range(cell.size):
-        c, ti = cell.item(i), t.item(i)
-        for e, u in zip(hold[:, i].tolist(), pick[:, i].tolist()):
-            steps += 1
-            clamps += clamped[c]
-            r = divisor[c]
-            ti = ti + e / r if r > 0 else math.inf
-            if not ti <= jumps.horizon:
-                break
-            p = u * total[c]
-            slot = c * deg
-            for col in cum_head:
-                slot += col[c] <= p
-            c = target[slot]
-            if c < 0:
-                absorbed += 1
-                break
-        else:
-            keep[i], cell[i], t[i] = True, c, ti
-    return keep, cell[keep], t[keep], steps, clamps, absorbed
-
-
 def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> WalkResult:
     """Run cfg.trials absorbed walks; return the absorbed fraction.
 
@@ -226,9 +190,8 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
 
     Only live trials are kept, compacted after every step. Each round
     hashes about _ROUND_DRAWS draws, so when few trials are live it covers
-    many steps, and at most _FEW_LIVE live trials are stepped one by one:
-    the long tail of a few slow trajectories does not pay numpy's per-call
-    cost at every step.
+    many steps: the long tail of a few slow trajectories does not pay a
+    hash pass at every step.
     """
     grid = field.grid
     h = grid.h
@@ -271,8 +234,7 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
             k = max(1, _ROUND_DRAWS // base.size)
             u = _u01(seed, base | (lanes[:, :k, None] + np.uint64(2 * step)))
             step += k
-            advance = _advance if base.size > _FEW_LIVE else _advance_each
-            sel, cell, t, n_steps, n_clamps, n_hits = advance(
+            sel, cell, t, n_steps, n_clamps, n_hits = _advance(
                 jumps, cell, t, -np.log1p(-u[0]), u[1])
             if sel is not None:
                 base = base[sel]
