@@ -23,6 +23,9 @@ from .simsys import (
     BoundaryGeometry,
     similarity_dimension,
     critical_delta,
+    Family,
+    FAMILIES,
+    named_family,
     koch_snowflake,
     vicsek,
     cantor_dust,
@@ -40,12 +43,8 @@ from .geomfield import (
     minkowski_dimension,
     ahlfors_check,
     uniformity_estimate,
-    save_distance_field,
-    load_distance_field,
-    distance_field_to_csv,
 )
 from .forms import (
-    WeightField,
     SparseForm,
     CapacityResult,
     weight_field,

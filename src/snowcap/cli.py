@@ -10,7 +10,6 @@ present, so interrupted runs resume without recomputing. Options may come
 from a JSON config file (`--config`) keyed by long option names, with
 explicit flags taking precedence.
 Exit codes: 0 success, 2 invalid config or empty domain, 3 solver failure.
-Worker threads for sweep field construction honor $SNOWCAP_THREADS.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -97,16 +95,6 @@ def _parse_point(spec, dim: int) -> tuple:
     return vals
 
 
-def _threads() -> int:
-    raw = os.environ.get("SNOWCAP_THREADS", "")
-    if raw.strip():
-        n = int(raw)
-        if n < 1:
-            raise _CliError("SNOWCAP_THREADS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
-
-
 # --- geometry, fields and records ------------------------------------------------
 
 
@@ -161,22 +149,26 @@ def _record(path, params, depth, outputs, tolerances, seed, wall) -> ExperimentR
 
 
 def _run_experiment(spec, args) -> dict:
-    """Build the field, run the spec's measurement, record, return the outputs.
+    """Build the grid, run the spec's measurement, record, return the outputs.
 
+    The measurement checks its options on the grid before it builds the
+    distance field through `build_field`, so a bad option costs no field.
     The id params hash geometry, grid, delta and the spec's id_keys as given;
     a measurement replaces a key by its parsed value where the id hashes that
     (the point z; the walk's start cell, before it derives its seed).
     """
     t0 = time.perf_counter()
+    if args.delta < 0:
+        raise ValueError("degeneracy order delta must be >= 0")
     depth = args.depth
     if depth is None:
         depth = choose_depth(args.family, args.lam, args.d, args.resolution)
     geom = named_family(args.family).geometry(args.lam, args.d, depth)
-    field = distance_field(geom, build_grid(geom, args.resolution))
+    grid = build_grid(geom, args.resolution)
     params = {"op": args.cmd, "family": args.family, "lambda": args.lam, "d": args.d,
               "depth": depth, "resolution": args.resolution, "delta": args.delta}
     params.update((key, getattr(args, key)) for key in spec.id_keys)
-    outputs, tolerances, seed = spec.run(args, field, params)
+    outputs, tolerances, seed = spec.run(args, grid, lambda: distance_field(geom, grid), params)
     _record(args.records, params, depth, outputs, tolerances, seed, time.perf_counter() - t0)
     return outputs
 
@@ -184,45 +176,43 @@ def _run_experiment(spec, args) -> dict:
 # --- measurements of the single experiments ---------------------------------------
 
 
-def _capacity(args, field, params):
-    eps = _parse_length(args.eps, field.grid.h)
-    res = capacity_relaxed(field, args.delta, None, eps, cg_tol=args.cg_tol)
+def _capacity(args, grid, build_field, params):
+    eps = _parse_length(args.eps, grid.h)
+    if eps < 2.0 * grid.h:
+        raise ValueError("collar width eps must be at least two cells")
+    res = capacity_relaxed(build_field(), args.delta, None, eps, cg_tol=args.cg_tol)
     outputs = {k: getattr(res, k) for k in ("value", "collar_eps", "solver_iters", "residual")}
     return outputs, {"cg_tol": args.cg_tol}, 0
 
 
-def _hardy(args, field, params):
+def _hardy(args, grid, build_field, params):
     z = _parse_point(args.z, args.d)
     params["z"] = list(z)
-    r = _parse_length(args.r, field.grid.h)
-    quot = hardy_quotient(field, args.delta, z, r, tol=args.tol, max_outer=args.max_outer)
+    r = _parse_length(args.r, grid.h)
+    quot = hardy_quotient(build_field(), args.delta, z, r, tol=args.tol, max_outer=args.max_outer)
     return {"quotient": quot, "z": list(z), "r": r}, {"tol": args.tol}, 0
 
 
-def _collar(args, field, params):
+def _collar(args, grid, build_field, params):
     z = _parse_point(args.z, args.d)
     params["z"] = list(z)
-    rho = _parse_length(args.rho, field.grid.h)
-    taus = _parse_length_range(args.taus, field.grid.h)
+    rho = _parse_length(args.rho, grid.h)
+    taus = _parse_length_range(args.taus, grid.h)
+    field = build_field()
     values = [collar_integral(field, args.delta, z, rho, t) for t in taus]
     slope = float(np.polyfit(np.log(taus), np.log(values), 1)[0])
     return {"slope": slope, "taus": [float(t) for t in taus], "values": values}, {}, 0
 
 
-def _walk(args, field, params):
-    form = assemble_form(field, args.delta)
-    start = _start_cell(_parse_point(args.start, args.d), field.grid)
+def _walk(args, grid, build_field, params):
+    start = _start_cell(_parse_point(args.start, args.d), grid)
     params["start"] = list(start)
-    cfg = WalkConfig(
-        start=start,
-        horizon=args.horizon,
-        trials=args.trials,
-        seed=args.seed,
-        absorb_eps=_parse_length(args.absorb_eps, field.grid.h),
-    )
+    cfg = WalkConfig(start=start, horizon=args.horizon, trials=args.trials, seed=args.seed,
+                     absorb_eps=_parse_length(args.absorb_eps, grid.h))
     # validated first: the record id cannot hash a non-finite horizon
     cfg = replace(cfg, seed=derive_seed(args.seed, record_id(params)))
-    res = walk_absorption(form, field, cfg)
+    field = build_field()
+    res = walk_absorption(assemble_form(field, args.delta), field, cfg)
     keys = ("p_hat", "stderr", "absorbed", "trials", "clamp_events", "steps", "rounds")
     return {k: getattr(res, k) for k in keys}, {}, cfg.seed
 
@@ -293,12 +283,7 @@ def _cmd_sweep(args) -> dict:
 
         depth = choose_depth(args.family, lam, args.d, res_f)
         geom = named_family(args.family).geometry(lam, args.d, depth)
-        with ThreadPoolExecutor(max_workers=min(2, _threads())) as pool:
-            futs = [
-                pool.submit(distance_field, geom, build_grid(geom, r))
-                for r in (res_c, res_f)
-            ]
-            field_c, field_f = (f.result() for f in futs)
+        field_c, field_f = (distance_field(geom, build_grid(geom, r)) for r in (res_c, res_f))
 
         for params in cells:
             t0 = time.perf_counter()
@@ -468,8 +453,8 @@ class _Spec:
 
     id_keys is None for a subcommand that runs on its own: run(args) returns
     the JSON object to print. Otherwise the subcommand is a field experiment:
-    run is its measurement (args, field, params) -> (outputs, tolerances,
-    seed), and `_run_experiment` hashes id_keys into the record id.
+    run is its measurement (args, grid, build_field, params) -> (outputs,
+    tolerances, seed), and `_run_experiment` hashes id_keys into the record id.
     """
 
     help: str

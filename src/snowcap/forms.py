@@ -22,7 +22,6 @@ from .errors import EmptyRegion, SolverDiverged
 from .geomfield import DistanceField
 
 __all__ = [
-    "WeightField",
     "SparseForm",
     "CapacityResult",
     "weight_field",
@@ -35,26 +34,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightField:
+def _clamped_distance(field: DistanceField) -> np.ndarray:
+    return np.maximum(np.minimum(field.values, 1.0), field.grid.h / 2.0)
+
+
+def weight_field(field: DistanceField, delta: float) -> np.ndarray:
     """Cellwise diffusion weight c = clamp(d_Gamma)^delta.
 
     The distance is capped at 1 (far-field weight is 1) and floored at h/2
     so boundary-adjacent cells keep a positive weight of the right order.
     """
-
-    delta: float
-    values: np.ndarray
-
-
-def _clamped_distance(field: DistanceField) -> np.ndarray:
-    return np.maximum(np.minimum(field.values, 1.0), field.grid.h / 2.0)
-
-
-def weight_field(field: DistanceField, delta: float) -> WeightField:
     if delta < 0:
         raise ValueError("degeneracy order delta must be >= 0")
-    return WeightField(delta=float(delta), values=_clamped_distance(field) ** delta)
+    return _clamped_distance(field) ** delta
 
 
 @dataclass(frozen=True)
@@ -76,12 +68,6 @@ class SparseForm:
         p = np.asarray(phi, dtype=float).ravel()
         diff = p[ii] - p[jj]
         return float(np.dot(ww, diff * diff))
-
-    def energy_bilinear(self, phi: np.ndarray, psi: np.ndarray) -> float:
-        ii, jj, ww = self.edges
-        p = np.asarray(phi, dtype=float).ravel()
-        q = np.asarray(psi, dtype=float).ravel()
-        return float(np.dot(ww, (p[ii] - p[jj]) * (q[ii] - q[jj])))
 
     def matrix(self) -> csr_matrix:
         """Graph Laplacian L with phi^T L phi = h(phi), on flat indices."""
@@ -127,23 +113,16 @@ def _axis_neighbor_pairs(mask: np.ndarray):
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def assemble_form(field: DistanceField, delta: float, mean: str = "arithmetic") -> SparseForm:
+def assemble_form(field: DistanceField, delta: float) -> SparseForm:
     """Second-order form with degenerate weights on the domain cells.
 
-    Edge weight between in-domain axis neighbors is
-    h^(d-2) * (c_i + c_j)/2 (or the harmonic mean when mean="harmonic").
+    Edge weight between in-domain axis neighbors is h^(d-2) * (c_i + c_j)/2.
     """
     grid = field.grid
-    c = weight_field(field, delta).values.ravel()
+    c = weight_field(field, delta).ravel()
     ii, jj = _axis_neighbor_pairs(grid.omega_mask)
-    if mean == "arithmetic":
-        cbar = 0.5 * (c[ii] + c[jj])
-    elif mean == "harmonic":
-        cbar = 2.0 * c[ii] * c[jj] / (c[ii] + c[jj])
-    else:
-        raise ValueError(f"unknown edge mean {mean!r}")
     d = grid.dim
-    ww = grid.h ** (d - 2) * cbar
+    ww = grid.h ** (d - 2) * 0.5 * (c[ii] + c[jj])
     return SparseForm(
         edges=(ii, jj, ww),
         cell_volume=grid.h**d,
@@ -179,23 +158,19 @@ def _ball(field: DistanceField, z, r: float) -> np.ndarray:
 
 
 def _target_distances(field: DistanceField, a_mask) -> np.ndarray:
-    """Distance to the target set A: the boundary itself (None), the centers
-    of flagged cells (boolean mask), or caller-supplied values (float array)."""
+    """Distance to the target set A: the boundary itself (None) or the
+    centers of the cells a boolean grid-shaped mask flags."""
     if a_mask is None:
         return field.values
     a_mask = np.asarray(a_mask)
-    if a_mask.dtype == bool:
-        if a_mask.shape != field.grid.dims:
-            raise ValueError("boolean target mask must have grid shape")
-        if not a_mask.any():
-            return np.full(field.grid.dims, np.inf)
-        pts = field.grid.centers()
-        tree = cKDTree(pts[a_mask.ravel()])
-        d, _ = tree.query(pts)
-        return d.reshape(field.grid.dims)
-    if a_mask.shape != field.grid.dims:
-        raise ValueError("target distance array must have grid shape")
-    return a_mask.astype(float)
+    if a_mask.dtype != bool or a_mask.shape != field.grid.dims:
+        raise ValueError("target mask must be None or a boolean array of grid shape")
+    if not a_mask.any():
+        return np.full(field.grid.dims, np.inf)
+    pts = field.grid.centers()
+    tree = cKDTree(pts[a_mask.ravel()])
+    d, _ = tree.query(pts)
+    return d.reshape(field.grid.dims)
 
 
 def eta_rn(field: DistanceField, a_mask, r: float, n: int) -> np.ndarray:
@@ -401,6 +376,8 @@ def collar_integral(field: DistanceField, delta: float, z, rho: float, tau: floa
     behind the uniqueness dichotomy.
     """
     grid = field.grid
+    if delta < 0:
+        raise ValueError("degeneracy order delta must be >= 0")
     if not 0.0 < tau < rho:
         raise ValueError("need 0 < tau < rho")
     region = _ball(field, z, rho)

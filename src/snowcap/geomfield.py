@@ -12,7 +12,6 @@ realization depth itself.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,6 @@ __all__ = [
     "minkowski_dimension",
     "ahlfors_check",
     "uniformity_estimate",
-    "save_distance_field",
-    "load_distance_field",
-    "distance_field_to_csv",
 ]
 
 
@@ -90,13 +86,13 @@ class DistanceField:
 
     depth_error bounds the Hausdorff gap between the realized and the ideal
     boundary, so |d_ideal - values| <= depth_error cellwise. diameter is the
-    boundary's bounding-box diagonal (NaN when unknown, e.g. after loading).
+    boundary's bounding-box diagonal.
     """
 
     grid: Grid
     values: np.ndarray
     depth_error: float
-    diameter: float = float("nan")
+    diameter: float
 
     def __post_init__(self):
         if self.values.shape != self.grid.dims:
@@ -389,10 +385,10 @@ def minkowski_dimension(
     if r_min is None:
         r_min = 4.0 * h
     if r_max is None:
-        r_max = (field.diameter if np.isfinite(field.diameter) else 1.0) / 8.0
+        r_max = field.diameter / 8.0
     if not 4.0 * h <= r_min < r_max:
         raise ValueError("need 4h <= r_min < r_max")
-    if np.isfinite(field.diameter) and r_max > field.diameter / 4.0 + 1e-12:
+    if r_max > field.diameter / 4.0 + 1e-12:
         raise ValueError("r_max exceeds a quarter of the boundary diameter")
     if n_points < 4:
         raise ValueError("need at least four radii")
@@ -432,12 +428,10 @@ def ahlfors_check(
     InsufficientSamples when the realization is too coarse for r_range[0].
     """
     prims = geometry.primitives
-    if geometry.kind == "segments":
-        reps = 0.5 * (prims[:, 0] + prims[:, 1])
-        scale = np.linalg.norm(prims[:, 1] - prims[:, 0], axis=1)
-    else:
-        reps = 0.5 * (prims[:, 0] + prims[:, 1])
-        scale = np.linalg.norm(prims[:, 1] - prims[:, 0], axis=1) / np.sqrt(geometry.dim)
+    reps = 0.5 * (prims[:, 0] + prims[:, 1])
+    scale = np.linalg.norm(prims[:, 1] - prims[:, 0], axis=1)
+    if geometry.kind == "boxes":
+        scale /= np.sqrt(geometry.dim)  # a box's scale is its side, not its diagonal
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
     if not 0 < r_lo < r_hi:
         raise ValueError("need 0 < r_lo < r_hi")
@@ -553,58 +547,3 @@ def uniformity_estimate(
                     break
         sigma_est = max(sigma_est, hi)
     return float(sigma_est)
-
-
-# --- persistence --------------------------------------------------------------
-
-_MAGIC = b"SCDF1\n"
-
-
-def save_distance_field(field: DistanceField, path: str):
-    """Binary dump: magic, d, dims, h, origin, depth_error, diameter, values
-    (float64 C-order, all cells), mask bytes."""
-    g = field.grid
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", g.dim))
-        f.write(struct.pack(f"<{g.dim}Q", *g.dims))
-        f.write(struct.pack("<d", g.h))
-        f.write(struct.pack(f"<{g.dim}d", *g.origin))
-        f.write(struct.pack("<dd", field.depth_error, field.diameter))
-        f.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(g.omega_mask, dtype=np.uint8).tobytes())
-
-
-def load_distance_field(path: str) -> DistanceField:
-    with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a distance-field file")
-        (d,) = struct.unpack("<I", f.read(4))
-        dims = struct.unpack(f"<{d}Q", f.read(8 * d))
-        (h,) = struct.unpack("<d", f.read(8))
-        origin = np.array(struct.unpack(f"<{d}d", f.read(8 * d)))
-        depth_error, diameter = struct.unpack("<dd", f.read(16))
-        n = int(np.prod(dims))
-        values = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(dims).copy()
-        mask = np.frombuffer(f.read(n), dtype=np.uint8).reshape(dims).astype(bool)
-    grid = Grid(origin=origin, h=h, dims=dims, omega_mask=mask)
-    return DistanceField(grid=grid, values=values, depth_error=depth_error, diameter=diameter)
-
-
-def distance_field_to_csv(field: DistanceField, path: str, max_cells: int = 1 << 20):
-    """Plain-text export for small grids: index, center, distance, in_domain."""
-    g = field.grid
-    if g.n_cells > max_cells:
-        raise ValueError(f"{g.n_cells} cells exceed the CSV cap {max_cells}")
-    idx = np.indices(g.dims).reshape(g.dim, -1).T
-    pts = g.centers()
-    cols_i = ",".join(f"i{ax}" for ax in range(g.dim))
-    cols_x = ",".join(f"x{ax}" for ax in range(g.dim))
-    with open(path, "w") as f:
-        f.write(f"{cols_i},{cols_x},dist,in_domain\n")
-        vals = field.values.ravel()
-        msk = g.omega_mask.ravel().astype(int)
-        for row_i, row_x, v, m in zip(idx, pts, vals, msk):
-            si = ",".join(str(int(v_)) for v_ in row_i)
-            sx = ",".join(f"{v_:.17g}" for v_ in row_x)
-            f.write(f"{si},{sx},{v:.17g},{m}\n")

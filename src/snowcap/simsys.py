@@ -302,12 +302,10 @@ class Family:
         unit = 1.0 if self.kind == "segments" else np.sqrt(system.dim)
         return unit * float(system.ratios.max()) ** depth
 
-    def geometry(
-        self, lam: float, dim: int, depth: int, max_depth: int | None = None
-    ) -> BoundaryGeometry:
-        """Realize the family at a depth; max_depth overrides the depth cap."""
+    def geometry(self, lam: float, dim: int, depth: int) -> BoundaryGeometry:
+        """Realize the family at a depth no greater than its cap for dim."""
         system = self.system(lam, dim)
-        cap = self.depth_caps[dim] if max_depth is None else max_depth
+        cap = self.depth_caps[dim]
         if depth > cap:
             raise DepthOverflow(f"{self.name} depth {depth} exceeds cap {cap}")
         if depth < 0:
@@ -339,7 +337,7 @@ def named_family(name: str) -> Family:
     return family
 
 
-def koch_snowflake(lam: float, depth: int, max_depth: int | None = None) -> BoundaryGeometry:
+def koch_snowflake(lam: float, depth: int) -> BoundaryGeometry:
     """Koch snowflake boundary at a finite depth.
 
     Parameters
@@ -350,20 +348,20 @@ def koch_snowflake(lam: float, depth: int, max_depth: int | None = None) -> Boun
     Returns a closed counterclockwise polygon with 3 * 4^depth segments and
     outward-pointing bumps; the domain is the polygon interior.
     """
-    return FAMILIES["koch"].geometry(lam, 2, depth, max_depth)
+    return FAMILIES["koch"].geometry(lam, 2, depth)
 
 
-def vicsek(lam: float, dim: int, depth: int, max_depth: int | None = None) -> BoundaryGeometry:
+def vicsek(lam: float, dim: int, depth: int) -> BoundaryGeometry:
     """Vicsek cross boundary: 2^d corner cubes of side lam plus a central cube
     of side 1-2*lam, iterated `depth` times inside the unit cube. The domain
     is the complement of the box union."""
-    return FAMILIES["vicsek"].geometry(lam, dim, depth, max_depth)
+    return FAMILIES["vicsek"].geometry(lam, dim, depth)
 
 
-def cantor_dust(lam: float, dim: int, depth: int, max_depth: int | None = None) -> BoundaryGeometry:
+def cantor_dust(lam: float, dim: int, depth: int) -> BoundaryGeometry:
     """Cantor dust boundary: 2^d corner cubes of side lam per round. The dust
     is totally disconnected; the domain is the complement of the box union."""
-    return FAMILIES["cantor-dust"].geometry(lam, dim, depth, max_depth)
+    return FAMILIES["cantor-dust"].geometry(lam, dim, depth)
 
 
 # --- line-oriented geometry exchange format ---------------------------------

@@ -18,6 +18,19 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
+@pytest.fixture
+def field_builds(monkeypatch):
+    """Grid dims of each distance field the CLI builds, seen through its module attribute."""
+    build, calls = snowcap.cli.distance_field, []
+
+    def counting(geom, grid):
+        calls.append(grid.dims)
+        return build(geom, grid)
+
+    monkeypatch.setattr(snowcap.cli, "distance_field", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def sweep_stream(tmp_path_factory):
     """88-cell capacity-trend sweep (8 lambdas x 11 deltas) at a small grid."""
@@ -196,6 +209,31 @@ def test_record_ids_are_pinned(argv, ids, seeds, tmp_path, capsys):
 # --- config files and option validation --------------------------------------
 
 
+_DELTA = "degeneracy order delta must be >= 0"
+_WALK = ["walk", *_C, "--delta", "0.0", "--start", "0.5,0.5"]
+REFUSED = {
+    "walk-trials-0": ([*_WALK, "--trials", "0"], "need at least one trial"),
+    "walk-horizon-inf": ([*_WALK, "--horizon", "inf"], "horizon must be positive and finite"),
+    "walk-horizon-nan": ([*_WALK, "--horizon", "nan"], "horizon must be positive and finite"),
+    "capacity-delta": (["capacity", *_C, "--delta", "-1"], _DELTA),
+    "capacity-eps": (["capacity", *_C, "--delta", "0.5", "--eps", "1h"],
+                     "collar width eps must be at least two cells"),
+    "collar-delta": (["collar", *_C, "--delta", "-1", "--z", "0.5,0.5", "--rho", "0.3",
+                      "--taus", "1h:4h:4"], _DELTA),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED.keys())
+def test_bad_options_fail_before_the_field_build(argv, message, field_builds, tmp_path, capsys):
+    recs = tmp_path / "r.jsonl"
+    rc, out, err = run(capsys, *argv, "--records", str(recs))
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "config", "message": message}
+    assert field_builds == []
+    assert not recs.exists()
+
+
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -309,34 +347,11 @@ def test_sweep_resumes_missing_cells(sweep_stream, tmp_path, capsys):
     assert tail == dropped
 
 
-def test_sweep_thread_env(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("SNOWCAP_THREADS", "2")
-    out = str(tmp_path / "r.jsonl")
-    rc, _, _ = run(capsys, "sweep", "--family", "cantor", "--d", "2",
-                   "--lambdas", "0.25:0.25:1", "--deltas", "0:2:2",
-                   "--resolution", "16", "--out", out)
-    assert rc == 0
-    assert len(load_records(out)) == 2
-    monkeypatch.setenv("SNOWCAP_THREADS", "0")
-    rc, _, err = run(capsys, "sweep", "--family", "cantor", "--d", "2",
-                     "--lambdas", "0.25:0.25:1", "--deltas", "0:2:2",
-                     "--resolution", "16", "--out", str(tmp_path / "s.jsonl"))
-    assert rc == 2
-    assert "SNOWCAP_THREADS" in json.loads(err)["message"]
-
-
-def test_sweep_builds_fields_through_module_hook(monkeypatch, tmp_path, capsys):
+def test_sweep_builds_fields_through_module_hook(field_builds, tmp_path, capsys):
     # benchmarks capture fields by swapping the module attribute
-    build, calls = snowcap.cli.distance_field, []
-
-    def counting(geom, grid):
-        calls.append(grid.dims)
-        return build(geom, grid)
-
-    monkeypatch.setattr(snowcap.cli, "distance_field", counting)
     rc, _, _ = run(capsys, *_SWEEP4, "--out", str(tmp_path / "r.jsonl"))
     assert rc == 0
-    assert len(calls) == 4  # coarse and fine grid for each of two lambdas
+    assert len(field_builds) == 4  # coarse and fine grid for each of two lambdas
 
 
 def test_sweep_resumes_after_torn_final_record(tmp_path, capsys):

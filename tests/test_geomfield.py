@@ -14,12 +14,9 @@ from snowcap import (
     build_grid,
     cantor_dust,
     distance_field,
-    distance_field_to_csv,
     koch_snowflake,
-    load_distance_field,
     minkowski_dimension,
     neighborhood_volume,
-    save_distance_field,
     uniformity_estimate,
     vicsek,
 )
@@ -318,37 +315,3 @@ def test_uniformity_disconnected():
     df = distance_field(geom, grid)
     with pytest.raises(Disconnected):
         uniformity_estimate(df, z=np.array([1.5, 0.5]), R=3.0, n_pairs=16, seed=0)
-
-
-# --- persistence -------------------------------------------------------------------
-
-
-def test_export_roundtrip(tmp_path, koch256):
-    _, df = koch256
-    path = tmp_path / "field.bin"
-    save_distance_field(df, str(path))
-    back = load_distance_field(str(path))
-    assert back.grid.dims == df.grid.dims
-    assert back.grid.h == df.grid.h
-    assert np.array_equal(back.grid.origin, df.grid.origin)
-    assert np.array_equal(back.grid.omega_mask, df.grid.omega_mask)
-    assert np.array_equal(back.values, df.values)
-    assert back.depth_error == df.depth_error
-    assert back.diameter == df.diameter
-
-
-def test_csv_export(tmp_path):
-    geom = square_polygon()
-    grid = build_grid(geom, 8)
-    df = distance_field(geom, grid)
-    path = tmp_path / "field.csv"
-    distance_field_to_csv(df, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i0,i1,x0,x1,dist,in_domain"
-    assert len(lines) == 1 + grid.n_cells
-    first = lines[1].split(",")
-    assert first[:2] == ["0", "0"]
-    assert abs(float(first[2]) - grid.h / 2) < 1e-15
-    assert abs(float(first[4]) - grid.h / 2) < 1e-15  # corner cell sits h/2 off the wall
-    with pytest.raises(ValueError):
-        distance_field_to_csv(df, str(path), max_cells=10)

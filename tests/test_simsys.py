@@ -229,13 +229,9 @@ def test_depth_caps_raise():
     with pytest.raises(DepthOverflow):
         koch_snowflake(1 / 3, 11)
     with pytest.raises(DepthOverflow):
-        koch_snowflake(1 / 3, 5, max_depth=4)
-    with pytest.raises(DepthOverflow):
         vicsek(1 / 3, 3, 7)
     with pytest.raises(DepthOverflow):
         cantor_dust(1 / 4, 3, 8)
-    # explicit cap raise is honored
-    assert koch_snowflake(1 / 3, 4, max_depth=12).depth == 4
 
 
 def test_parameter_validation():
