@@ -181,7 +181,8 @@ def _capacity(args, grid, build_field, params):
     if eps < 2.0 * grid.h:
         raise ValueError("collar width eps must be at least two cells")
     res = capacity_relaxed(build_field(), args.delta, None, eps, cg_tol=args.cg_tol)
-    outputs = {k: getattr(res, k) for k in ("value", "collar_eps", "solver_iters", "residual")}
+    keys = ("value", "collar_eps", "solver_iters", "residual", "levels")
+    outputs = {k: getattr(res, k) for k in keys}
     return outputs, {"cg_tol": args.cg_tol}, 0
 
 
@@ -266,6 +267,11 @@ def _cmd_sweep(args) -> dict:
     deltas = _parse_range(args.deltas)
     if args.resolution < 16:
         raise _CliError("sweep resolution must be at least 16")
+    # checked here, not first in capacity_relaxed, so that no field is built
+    if not args.eps_cells >= 2:
+        raise ValueError("collar width eps must be at least two cells")
+    if not (deltas >= 0).all():
+        raise ValueError("degeneracy order delta must be >= 0")
     res_f, res_c = args.resolution, args.resolution // 2
     done = load_ids(args.out)
     written = 0

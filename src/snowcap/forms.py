@@ -6,7 +6,8 @@ c = clamp(d_Gamma)^delta vanishing at the boundary. On top of it sit the
 two capacity estimates (explicit log-profile test functions and the relaxed
 collar-constrained minimization), the local Hardy quotient as a generalized
 eigenvalue problem, and the tau-regularized collar integral whose blow-up
-rate separates the degeneracy regimes.
+rate separates the degeneracy regimes. The capacity and Hardy systems share
+one solver: conjugate gradients preconditioned by smoothed aggregation.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, cg
 from scipy.spatial import cKDTree
 
 from .errors import EmptyRegion, SolverDiverged
@@ -34,10 +36,6 @@ __all__ = [
 ]
 
 
-def _clamped_distance(field: DistanceField) -> np.ndarray:
-    return np.maximum(np.minimum(field.values, 1.0), field.grid.h / 2.0)
-
-
 def weight_field(field: DistanceField, delta: float) -> np.ndarray:
     """Cellwise diffusion weight c = clamp(d_Gamma)^delta.
 
@@ -46,7 +44,7 @@ def weight_field(field: DistanceField, delta: float) -> np.ndarray:
     """
     if delta < 0:
         raise ValueError("degeneracy order delta must be >= 0")
-    return _clamped_distance(field) ** delta
+    return np.maximum(np.minimum(field.values, 1.0), field.grid.h / 2.0) ** delta
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,94 @@ def _spd_matrix(edges, diag: np.ndarray) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
+# smoothed aggregation: cells per aggregate along each axis (2 densifies the
+# coarse stencils to ~35 nonzeros per row two levels down and more than
+# doubles the hierarchy's memory), the largest level solved directly, the
+# weight of the Jacobi smoother, and the iteration count taken as a stall
+_AGG = 3
+_COARSE_ROWS = 400
+_SMOOTH_W = 0.6
+_MAX_PCG_ITERS = 500
+
+
+def _prolongator(A: csr_matrix, coords: np.ndarray):
+    """Smoothed prolongator P = P0 - (2/3) D^-1 A P0 of the aggregates that
+    group the unknowns of each 3^d block of cells, and the block coordinates
+    of the aggregates."""
+    n = A.shape[0]
+    block = np.asarray(coords) // _AGG
+    keys = np.ravel_multi_index(block.T, tuple(block.max(axis=0) + 1))
+    _, first, agg = np.unique(keys, return_index=True, return_inverse=True)
+    P0 = csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, len(first)))
+    AP0 = A @ P0
+    AP0.data *= np.repeat(2.0 / 3.0 / A.diagonal(), np.diff(AP0.indptr))
+    return P0 - AP0, block[first]
+
+
+def _vcycle(levels, coarse, r):
+    """One V(2,2) cycle on A x = r from x = 0, levels[0] the finest."""
+    if not levels:
+        return cho_solve(coarse, r)
+    A, wd, P, R = levels[0]
+    x = wd * r
+    x += wd * (r - A @ x)
+    x += P @ _vcycle(levels[1:], coarse, R @ (r - A @ x))
+    for _ in range(2):
+        x += wd * (r - A @ x)
+    return x
+
+
+def _spd_solver(A: csr_matrix, coords: np.ndarray):
+    """Conjugate gradients preconditioned by a smoothed-aggregation V(2,2)
+    cycle (Vanek, Mandel and Brezina, Computing 56, 1996).
+
+    A is symmetric positive definite; unknown k sits on the integer grid
+    cell coords[k]. Each level groups the unknowns of every 3^d block of
+    cells into one aggregate, smooths the piecewise-constant prolongator P0
+    by one damped-Jacobi step, P = P0 - (2/3) D^-1 A P0, and passes the
+    Galerkin operator P^T A P down; a level of at most _COARSE_ROWS rows is
+    factored densely. Returns solve(b, x0, rtol) -> (x, iterations), which
+    raises SolverDiverged on a stall, and the number of levels.
+    """
+    fine = A
+    levels = []  # (A, w D^-1, P, P^T) of each level above the coarsest
+    while A.shape[0] > _COARSE_ROWS:
+        P, coords = _prolongator(A, coords)
+        R = P.T.tocsr()
+        levels.append((A, _SMOOTH_W / A.diagonal(), P, R))
+        A = R @ (A @ P)
+    coarse = cho_factor(A.toarray())
+    M = LinearOperator(fine.shape, matvec=lambda r: _vcycle(levels, coarse, r), dtype=float)
+
+    def solve(b, x0=None, rtol=1e-8):
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+
+        x, info = cg(fine, b, x0=x0, rtol=rtol, atol=0.0, maxiter=_MAX_PCG_ITERS, M=M,
+                     callback=count)
+        if info != 0:
+            resid = float(np.linalg.norm(fine @ x - b) / np.linalg.norm(b))
+            raise SolverDiverged(
+                f"conjugate gradients stalled at residual {resid:.3e} after {iters} iterations"
+            )
+        return x, iters
+
+    return solve, len(levels) + 1
+
+
 def _ball(field: DistanceField, z, r: float) -> np.ndarray:
     """Flat mask of the domain cells whose centre lies strictly within r of z."""
-    grid = field.grid
-    dist = np.linalg.norm(grid.centers() - np.asarray(z, dtype=float), axis=1)
-    region = grid.omega_mask.ravel() & (dist < r)
+    grid, d = field.grid, field.grid.dim
+    z = np.asarray(z, dtype=float)
+    # per-axis squared offsets broadcast over the grid, summed in axis order
+    sq = sum(
+        ((grid.axis_centers(ax) - z[ax]) ** 2).reshape([-1 if k == ax else 1 for k in range(d)])
+        for ax in range(d)
+    )
+    region = grid.omega_mask.ravel() & (np.sqrt(sq).ravel() < r)
     if not region.any():
         raise EmptyRegion(f"no in-domain cell within {r} of z")
     return region
@@ -215,12 +296,17 @@ def capacity_upper_eta(field: DistanceField, delta: float, a_mask, r_list, n_lis
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Outcome of the collar-constrained graph-norm minimization."""
+    """Outcome of the collar-constrained graph-norm minimization.
+
+    solver_iters counts preconditioned CG iterations and levels the depth
+    of the multigrid hierarchy (0 when the collar leaves no free cell).
+    """
 
     value: float
     collar_eps: float
     solver_iters: int
     residual: float
+    levels: int
     psi: np.ndarray | None = None
 
 
@@ -235,11 +321,11 @@ def capacity_relaxed(
     """Minimize h(psi) + ||psi||^2 over psi = 1 on the collar {d_A < eps}.
 
     The free-cell system is symmetric positive definite and solved by
-    Jacobi-preconditioned conjugate gradients to relative residual cg_tol
-    (iteration cap 50 sqrt(free cells)). x0 optionally warm-starts the
-    solver with a full-grid flat or grid-shaped guess. The minimizer must
-    land in [0, 1] by the discrete maximum principle; this is checked, not
-    enforced.
+    conjugate gradients preconditioned with a smoothed-aggregation
+    multigrid cycle, to relative residual cg_tol; a solve that stalls
+    raises SolverDiverged. x0 optionally warm-starts the solver with a
+    full-grid flat or grid-shaped guess. The minimizer must land in [0, 1]
+    by the discrete maximum principle; this is checked, not enforced.
     """
     grid = field.grid
     if eps < 2.0 * grid.h:
@@ -258,29 +344,17 @@ def capacity_relaxed(
     psi[collar] = 1.0
     if not free.any():
         value = hd * n_collar
-        return CapacityResult(value, float(eps), 0, 0.0, psi.reshape(grid.dims))
+        return CapacityResult(value, float(eps), 0, 0.0, 0, psi.reshape(grid.dims))
 
     # every edge leaving a free cell ends on the collar, where psi = 1
     free_idx, edges, cross = form.restrict(free)
     A, b = _spd_matrix(edges, hd + cross), cross
+    solve, levels = _spd_solver(A, np.column_stack(np.unravel_index(free_idx, grid.dims)))
     guess = None
     if x0 is not None:
         guess = np.asarray(x0, dtype=float).ravel()[free_idx]
-    inv_diag = 1.0 / A.diagonal()
-    M = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    maxiter = int(50 * np.sqrt(len(free_idx))) + 10
-    sol, info = cg(A, b, x0=guess, rtol=cg_tol, atol=0.0, maxiter=maxiter, M=M, callback=count)
+    sol, iters = solve(b, guess, cg_tol)
     resid = float(np.linalg.norm(A @ sol - b) / np.linalg.norm(b))
-    if info != 0:
-        raise SolverDiverged(
-            f"conjugate gradients stalled at residual {resid:.3e} after {iters} iterations"
-        )
     psi[free_idx] = sol
     if psi.min() < -1e-8 or psi.max() > 1.0 + 1e-8:
         raise SolverDiverged(
@@ -288,7 +362,7 @@ def capacity_relaxed(
             "maximum principle violated, solution untrusted"
         )
     value = form.energy(psi) + hd * float(np.sum(psi[mask_flat] ** 2))
-    return CapacityResult(value, float(eps), iters, resid, psi.reshape(grid.dims))
+    return CapacityResult(value, float(eps), iters, resid, levels, psi.reshape(grid.dims))
 
 
 # --- local Hardy quotient ---------------------------------------------------------
@@ -308,20 +382,27 @@ def hardy_quotient(
 
     The support constraint closes every face toward excluded cells with a
     half-cell Dirichlet weight 2 c_i h^(d-2), making the stiffness matrix
-    positive definite; the smallest generalized eigenvalue is found by
-    inverse-power iteration (sparse LU for small regions, preconditioned
-    conjugate gradients with warm starts otherwise).
+    positive definite; only the ball is assembled. The smallest generalized
+    eigenvalue is found by inverse-power iteration whose solves share one
+    smoothed-aggregation multigrid hierarchy: conjugate gradients to
+    relative residual 1e-8, each warm-started from the last iterate scaled
+    by the inverse of its Rayleigh quotient.
     """
     grid = field.grid
     h, d = grid.h, grid.dim
-    form = assemble_form(field, delta)
-    idx, edges, _ = form.restrict(_ball(field, z, r))
+    ball = _ball(field, z, r)
+    idx = np.flatnonzero(ball)
     m = len(idx)
+    ii, jj = _axis_neighbor_pairs(ball.reshape(grid.dims))
+    ei, ej = np.searchsorted(idx, ii), np.searchsorted(idx, jj)
+    dist = np.maximum(np.minimum(field.values.ravel()[idx], 1.0), h / 2.0)
+    c = dist**delta
+    edges = (ei, ej, h ** (d - 2) * 0.5 * (c[ei] + c[ej]))
     # faces toward anything outside the support region get the closure weight
-    inside_faces = np.bincount(edges[0], minlength=m) + np.bincount(edges[1], minlength=m)
-    dist = _clamped_distance(field).ravel()[idx]
-    K = _spd_matrix(edges, (2.0 * d - inside_faces) * 2.0 * dist**delta * h ** (d - 2))
+    inside_faces = np.bincount(ei, minlength=m) + np.bincount(ej, minlength=m)
+    K = _spd_matrix(edges, (2.0 * d - inside_faces) * 2.0 * c * h ** (d - 2))
     mass = h**d * dist ** (delta - 2.0)
+    solve, _ = _spd_solver(K, np.column_stack(np.unravel_index(idx, grid.dims)))
 
     def rayleigh(v):
         kv = K @ v
@@ -331,25 +412,8 @@ def hardy_quotient(
     v /= np.sqrt(np.dot(v, mass * v))
     lam = rayleigh(v)
 
-    # banded 1-D systems factor in linear time; 2-D fill-in caps the LU size
-    use_lu = m <= 60_000 or (d == 1 and m <= 2_000_000)
-    if use_lu:
-        lu = splu(K.tocsc())
-        solve = lu.solve
-    else:
-        inv_diag = 1.0 / K.diagonal()
-        M = LinearOperator(K.shape, matvec=lambda u: inv_diag * u)
-        prev = {"x": None}
-
-        def solve(rhs):
-            x, info = cg(K, rhs, x0=prev["x"], rtol=1e-8, atol=0.0, M=M, maxiter=20000)
-            if info != 0:
-                raise SolverDiverged("inner conjugate-gradient solve stalled")
-            prev["x"] = x
-            return x
-
     for _ in range(max_outer):
-        v = solve(mass * v)
+        v, _ = solve(mass * v, v / lam, 1e-8)
         v /= np.sqrt(np.dot(v, mass * v))
         lam_new = rayleigh(v)
         done = abs(lam_new - lam) <= tol * abs(lam_new)

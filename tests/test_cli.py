@@ -85,6 +85,10 @@ def test_capacity_appends_record(tmp_path, capsys):
     assert loaded[0].op == "capacity"
     assert loaded[0].resolution == 32
     assert loaded[0].outputs["value"] == pytest.approx(json.loads(out)["value"])
+    # the solver's work travels with the record
+    assert loaded[0].outputs["levels"] >= 2
+    assert 0 < loaded[0].outputs["solver_iters"] <= 30
+    assert 0 <= loaded[0].outputs["residual"] <= 1e-8
 
 
 def test_record_roundtrip_identity(tmp_path, capsys):
@@ -220,13 +224,18 @@ REFUSED = {
                      "collar width eps must be at least two cells"),
     "collar-delta": (["collar", *_C, "--delta", "-1", "--z", "0.5,0.5", "--rho", "0.3",
                       "--taus", "1h:4h:4"], _DELTA),
+    "sweep-eps-cells": ([*_SWEEP4, "--eps-cells", "1"],
+                        "collar width eps must be at least two cells"),
+    "sweep-eps-cells-nan": ([*_SWEEP4, "--eps-cells", "nan"],
+                            "collar width eps must be at least two cells"),
+    "sweep-deltas": ([*_SWEEP4, "--deltas=-0.5:2.5:2"], _DELTA),
 }
 
 
 @pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED.keys())
 def test_bad_options_fail_before_the_field_build(argv, message, field_builds, tmp_path, capsys):
     recs = tmp_path / "r.jsonl"
-    rc, out, err = run(capsys, *argv, "--records", str(recs))
+    rc, out, err = run(capsys, *argv, "--out" if argv[0] == "sweep" else "--records", str(recs))
     assert rc == 2
     assert out == ""
     assert json.loads(err) == {"error": "config", "message": message}

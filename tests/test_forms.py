@@ -4,6 +4,8 @@ quotients, and collar integrals."""
 import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse.linalg import spsolve
+from scipy.special import iv, ivp, kv, kvp
 
 from snowcap import (
     EmptyRegion,
@@ -20,6 +22,7 @@ from snowcap import (
     hardy_quotient,
     collar_integral,
 )
+from snowcap.forms import _axis_neighbor_pairs, _spd_matrix, _spd_solver
 
 
 def square_field(res):
@@ -235,6 +238,88 @@ def test_capacity_warm_start_agrees(koch128):
     guess = rng.uniform(0, 1, size=koch128.grid.dims)
     warm = capacity_relaxed(koch128, 1.0, None, 8 * h, cg_tol=1e-10, x0=guess)
     assert abs(cold.value - warm.value) <= 1e-8 * cold.value
+
+
+def _line_capacity_exact(delta, eps):
+    # minimizer of the relaxed capacity on (0, 1) with weight x^delta and the
+    # boundary at 0: -(x^delta phi')' + phi = 0 on (eps, 1), phi(eps) = 1,
+    # phi'(1) = 0, so phi = x^a [A I_nu(c x^b) + B K_nu(c x^b)] and, after
+    # integrating by parts, the capacity is eps - eps^delta phi'(eps)
+    a, b = (1 - delta) / 2, (2 - delta) / 2
+    c, nu = 1 / b, abs(a / b)
+
+    def basis(x):
+        t = c * x**b
+        val = x**a * np.array([iv(nu, t), kv(nu, t)])
+        der = a * val / x + x**a * c * b * x ** (b - 1) * np.array([ivp(nu, t), kvp(nu, t)])
+        return val, der
+
+    v_eps, d_eps = basis(eps)
+    coef = np.linalg.solve(np.array([v_eps, basis(1.0)[1]]), [1.0, 0.0])
+    return eps - eps**delta * float(d_eps @ coef)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.5])
+def test_capacity_line_matches_closed_form(delta):
+    # first-order convergence to the Bessel closed form; the collar [0, 0.05)
+    # is whole cells at every size. Relative errors measured: -3.0e-4,
+    # -7.6e-5, -1.9e-5 (delta 0.5) and -1.70e-3, -4.24e-4, -1.06e-4 (1.5)
+    eps = 0.05
+    exact = _line_capacity_exact(delta, eps)
+    errs = []
+    for n in (4000, 16_000, 64_000):
+        res = capacity_relaxed(line_field(n), delta, None, eps)
+        errs.append(abs(res.value - exact) / exact)
+        assert errs[-1] <= 8.0 / n
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def _grid_system(mask, delta=0.0):
+    # weighted grid Laplacian on the cells of mask (edge weights h^(d-2)
+    # times the mean of x_0^delta) plus the mass diagonal h^d
+    h, d = 1.0 / mask.shape[0], mask.ndim
+    keep = np.flatnonzero(mask)
+    ii, jj = _axis_neighbor_pairs(mask)
+    x0 = (np.unravel_index(np.arange(mask.size), mask.shape)[0] + 0.5) * h
+    ww = h ** (d - 2) * 0.5 * (x0[ii] ** delta + x0[jj] ** delta)
+    edges = (np.searchsorted(keep, ii), np.searchsorted(keep, jj), ww)
+    A = _spd_matrix(edges, np.full(len(keep), h**d))
+    return A, np.column_stack(np.unravel_index(keep, mask.shape))
+
+
+_CUT = np.ones((120, 120), dtype=bool)
+_CUT[::9], _CUT[:, ::9] = False, False  # 8x8 pieces that straddle the 3x3 aggregates
+SPD_SYSTEMS = {
+    "line": (np.ones(6000, dtype=bool), 0.0),
+    "square-degenerate": (np.ones((120, 120), dtype=bool), 2.0),
+    "cube": (np.ones((20, 20, 20), dtype=bool), 0.0),
+    "disconnected-pieces": (_CUT, 1.0),
+}
+
+
+@pytest.mark.parametrize("mask, delta", SPD_SYSTEMS.values(), ids=SPD_SYSTEMS.keys())
+def test_spd_solver_matches_direct_solve(mask, delta):
+    A, coords = _grid_system(mask, delta)
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    ref = spsolve(A.tocsc(), b)
+    solve, levels = _spd_solver(A, coords)
+    rtol = 1e-10
+    x, iters = solve(b, None, rtol)
+    assert levels >= 2
+    assert iters <= 25  # a Jacobi preconditioner needs hundreds here
+    assert np.linalg.norm(x - ref) <= 10 * rtol * np.linalg.norm(ref)
+    # a warm start at the answer costs no iteration
+    assert solve(b, ref, 1e-8)[1] == 0
+
+
+def test_spd_solver_small_system_is_one_direct_level():
+    A, coords = _grid_system(np.ones((20, 20), dtype=bool))  # 400 rows: the coarse size
+    b = np.random.default_rng(4).standard_normal(400)
+    solve, levels = _spd_solver(A, coords)
+    x, iters = solve(b, None, 1e-12)
+    assert levels == 1 and iters == 1
+    assert np.linalg.norm(x - spsolve(A.tocsc(), b)) <= 1e-12 * np.linalg.norm(x)
 
 
 # --- Hardy quotients ---------------------------------------------------------------
