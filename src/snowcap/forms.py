@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+def _clamped(dist: np.ndarray, h: float) -> np.ndarray:
+    return np.maximum(np.minimum(dist, 1.0), h / 2.0)
+
+
 def weight_field(field: DistanceField, delta: float) -> np.ndarray:
     """Cellwise diffusion weight c = clamp(d_Gamma)^delta.
 
@@ -44,7 +48,7 @@ def weight_field(field: DistanceField, delta: float) -> np.ndarray:
     """
     if delta < 0:
         raise ValueError("degeneracy order delta must be >= 0")
-    return np.maximum(np.minimum(field.values, 1.0), field.grid.h / 2.0) ** delta
+    return _clamped(field.values, field.grid.h) ** delta
 
 
 @dataclass(frozen=True)
@@ -395,7 +399,7 @@ def hardy_quotient(
     m = len(idx)
     ii, jj = _axis_neighbor_pairs(ball.reshape(grid.dims))
     ei, ej = np.searchsorted(idx, ii), np.searchsorted(idx, jj)
-    dist = np.maximum(np.minimum(field.values.ravel()[idx], 1.0), h / 2.0)
+    dist = _clamped(field.values.ravel()[idx], h)
     c = dist**delta
     edges = (ei, ej, h ** (d - 2) * 0.5 * (c[ei] + c[ej]))
     # faces toward anything outside the support region get the closure weight
