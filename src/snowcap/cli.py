@@ -28,7 +28,7 @@ from . import __version__
 from .errors import SnowcapError, SolverDiverged, EmptyDomain, EmptyRegion
 from .simsys import named_family, similarity_dimension, critical_delta, geometry_to_text
 from .geomfield import build_grid, distance_field
-from .forms import assemble_form, capacity_relaxed, hardy_quotient, collar_integral
+from .forms import _hardy_solve, assemble_form, capacity_relaxed, collar_integral
 from .stochastic import WalkConfig, walk_absorption
 from .records import (
     ExperimentRecord,
@@ -190,8 +190,11 @@ def _hardy(args, grid, build_field, params):
     z = _parse_point(args.z, args.d)
     params["z"] = list(z)
     r = _parse_length(args.r, grid.h)
-    quot = hardy_quotient(build_field(), args.delta, z, r, tol=args.tol, max_outer=args.max_outer)
-    return {"quotient": quot, "z": list(z), "r": r}, {"tol": args.tol}, 0
+    quot, _, iters, resid, levels = _hardy_solve(build_field(), args.delta, z, r, args.tol,
+                                                 args.max_outer)
+    outputs = {"quotient": quot, "z": list(z), "r": r, "iterations": iters, "residual": resid,
+               "levels": levels}
+    return outputs, {"tol": args.tol}, 0
 
 
 def _collar(args, grid, build_field, params):
@@ -510,8 +513,9 @@ _SPECS = {
         options=_FIELD + (
             _Z,
             ("--r", dict(help="ball radius (number or multiple of h)")),
-            ("--tol", dict(type=float, default=1e-6)),
-            ("--max-outer", dict(type=int, default=200)),
+            ("--tol", dict(type=float, default=1e-6,
+                           help="bound on the squared relative eigen-residual")),
+            ("--max-outer", dict(type=int, default=200, help="cap on LOBPCG iterations")),
         )),
     "collar": _Spec(
         "regularized collar integral over a tau ladder, with fitted exponent", _collar,

@@ -12,6 +12,7 @@ realization depth itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,20 +152,21 @@ def _polygon_mask(segs: np.ndarray, origin: np.ndarray, h: float, dims: tuple) -
 def _box_union_mask(boxes: np.ndarray, origin: np.ndarray, h: float, dims: tuple) -> np.ndarray:
     """Cells whose center lies in some closed box."""
     d = len(dims)
-    hit = np.zeros(dims, dtype=bool)
-    for lo, hi in boxes:
-        sl = []
-        for ax in range(d):
-            i0 = int(np.ceil((lo[ax] - origin[ax]) / h - 0.5 - 1e-12))
-            i1 = int(np.floor((hi[ax] - origin[ax]) / h - 0.5 + 1e-12))
-            i0, i1 = max(i0, 0), min(i1, dims[ax] - 1)
-            if i1 < i0:
-                sl = None
-                break
-            sl.append(slice(i0, i1 + 1))
-        if sl is not None:
-            hit[tuple(sl)] = True
-    return hit
+    # index range of the centers inside each box, clipped to the grid
+    first = np.ceil((boxes[:, 0] - origin) / h - 0.5 - 1e-12).astype(np.int64)
+    last = np.floor((boxes[:, 1] - origin) / h - 0.5 + 1e-12).astype(np.int64)
+    first, last = np.maximum(first, 0), np.minimum(last, np.array(dims) - 1)
+    hit = (first <= last).all(axis=1)
+    first, stop = first[hit], last[hit] + 1
+    # +-1 at the 2^d corners of each box; the cumulative sums along every
+    # axis then count the boxes covering each cell
+    count = np.zeros([n + 1 for n in dims], dtype=np.int32)
+    for corner in itertools.product((0, 1), repeat=d):
+        at = tuple(stop[:, ax] if c else first[:, ax] for ax, c in enumerate(corner))
+        np.add.at(count, at, (-1) ** sum(corner))
+    for ax in range(d):
+        np.cumsum(count, axis=ax, dtype=np.int32, out=count)
+    return count[tuple(slice(n) for n in dims)] > 0
 
 
 def build_grid(geometry: BoundaryGeometry, resolution: int, margin: float = 0.0) -> Grid:
@@ -334,7 +336,11 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
                 lb2 += gap * gap
                 far = np.maximum(np.abs(rpt[ax] - lo), np.abs(rpt[ax] - hi))
                 ub2 += far * far
-            bound = np.sqrt(np.minimum.reduceat(ub2.min(axis=1), starts))[group] + slack
+            # column by column: a reduction over the short kid axis is slow
+            ub = ub2[:, 0]
+            for j in range(1, kids_j):
+                ub = np.minimum(ub, ub2[:, j])
+            bound = np.sqrt(np.minimum.reduceat(ub, starts))[group] + slack
             pi, pj = np.nonzero(lb2 <= (bound * bound)[:, None])
             child = np.ravel_multi_index([c[pi] for c in cc], n_blocks[lev2])
             if leaf:

@@ -119,15 +119,19 @@ def test_hardy_and_collar_record_outputs(tmp_path, capsys):
                      "--d", "2", "--resolution", "32", "--delta", "0.5",
                      "--z", "0.0,0.0", "--r", "0.4", "--records", recs)
     assert rc == 0
-    assert json.loads(out)["quotient"] > 0
+    hardy = json.loads(out)
+    assert hardy["quotient"] > 0
+    assert hardy["iterations"] > 0 and hardy["levels"] >= 1
+    assert 0 < hardy["residual"] ** 2 <= 1e-6
     rc, out, _ = run(capsys, "collar", "--family", "cantor", "--lambda", "0.25",
                      "--d", "2", "--resolution", "32", "--delta", "0.5",
                      "--z", "0.0,0.0", "--rho", "0.5", "--taus", "2h:8h:4",
                      "--records", recs)
     assert rc == 0
     assert json.loads(out)["slope"] < 0
-    ops = [r.op for r in load_records(recs)]
-    assert ops == ["hardy", "collar"]
+    recs = load_records(recs)
+    assert [r.op for r in recs] == ["hardy", "collar"]
+    assert recs[0].outputs == hardy
 
 
 def test_walk_derives_seed_per_experiment(tmp_path, capsys):

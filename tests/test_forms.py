@@ -9,6 +9,7 @@ from scipy.special import iv, ivp, kv, kvp
 
 from snowcap import (
     EmptyRegion,
+    SolverDiverged,
     Grid,
     DistanceField,
     koch_snowflake,
@@ -22,7 +23,13 @@ from snowcap import (
     hardy_quotient,
     collar_integral,
 )
-from snowcap.forms import _axis_neighbor_pairs, _spd_matrix, _spd_solver
+from snowcap.forms import (
+    _axis_neighbor_pairs,
+    _hardy_pencil,
+    _hardy_solve,
+    _spd_matrix,
+    _spd_solver,
+)
 
 
 def square_field(res):
@@ -335,9 +342,9 @@ def test_hardy_1d_oracle_trend():
     assert 0.25 < b_10k < b_1k
 
 
-def test_hardy_1d_matches_dense_eigensolver():
-    # independent tridiagonal build of the same closed stiffness/mass pencil
-    n, delta = 2000, 0.5
+def line_ground_value(n, delta):
+    # independent tridiagonal build of the closed stiffness/mass pencil of a
+    # ball covering the whole line, and its smallest eigenvalue
     h = 1.0 / n
     x = (np.arange(n) + 0.5) * h
     c = np.minimum(x, 1.0) ** delta
@@ -349,12 +356,55 @@ def test_hardy_1d_matches_dense_eigensolver():
     diag[-1] += 2 * c[-1] / h
     m = h * np.maximum(np.minimum(x, 1.0), h / 2) ** (delta - 2)
     s = 1 / np.sqrt(m)
-    ref = eigh_tridiagonal(
+    return eigh_tridiagonal(
         diag * s * s, -w * s[:-1] * s[1:], select="i", select_range=(0, 0),
         eigvals_only=True,
     )[0]
+
+
+def test_hardy_1d_matches_dense_eigensolver():
+    n, delta = 2000, 0.5
+    ref = line_ground_value(n, delta)
     b = hardy_quotient(line_field(n), delta, (0.0,), 1.0, tol=1e-9)
     assert abs(b - ref) <= 1e-5 * ref
+
+
+def test_hardy_small_balls_match_dense_answer():
+    field = line_field(300)
+    h = field.grid.h
+    for delta in (0.0, 1.0, 2.0):
+        # 300 cells: the hierarchy is a single direct level
+        ref = line_ground_value(300, delta)
+        value, _, _, _, levels = _hardy_solve(field, delta, (0.0,), 1.0, 1e-6, 200)
+        assert levels == 1
+        assert abs(value - ref) <= 1e-8 * ref
+        # one cell at distance x, both faces closed: 4 c / h over h x^(delta-2)
+        for k in (0, 5):
+            b = hardy_quotient(field, delta, ((k + 0.5) * h,), 0.4 * h)
+            assert abs(b - 4 * max(k + 0.5, 0.5) ** 2) <= 1e-12 * b
+
+
+def test_hardy_quotient_meets_its_stop_rule():
+    # near the attainable accuracy of a 10,000-cell line, a returned quotient
+    # still meets the rule on a fresh residual; otherwise the solve raises
+    field = line_field(10_000)
+    for delta in (0.5, 1.0):
+        idx, K, mass = _hardy_pencil(field, delta, (0.0,), 2.0)
+        for tol in (1e-14, 1e-16, 1e-18):
+            try:
+                b, vec = hardy_quotient(field, delta, (0.0,), 2.0, tol=tol, return_vector=True)
+            except SolverDiverged:
+                continue
+            v = vec.ravel()[idx]
+            res = K @ v - b * mass * v
+            assert res @ (res / mass) <= tol * b * b
+
+
+def test_hardy_iteration_cap_raises():
+    with pytest.raises(SolverDiverged, match="exceeded 0 iterations"):
+        hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0, max_outer=0)
+    b = hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0, max_outer=20)
+    assert b > 0
 
 
 def test_hardy_2d_matches_dense_eigensolver():
@@ -390,6 +440,10 @@ def test_hardy_2d_matches_dense_eigensolver():
     assert len(cells) == 1398 and min(closed.values()) > 0
     ref = eigh(stiff, np.diag(mass), eigvals_only=True, subset_by_index=[0, 0])[0]
     b = hardy_quotient(field, delta, z, r, tol=1e-10)
+    assert abs(b - ref) <= 1e-8 * ref
+    # the default tol, a squared relative residual of 1e-6, already lands
+    # within 1e-8 of the dense answer
+    b = hardy_quotient(field, delta, z, r)
     assert abs(b - ref) <= 1e-8 * ref
 
 

@@ -20,7 +20,7 @@ from snowcap import (
     uniformity_estimate,
     vicsek,
 )
-from snowcap.geomfield import _box_boundary_distance, _segment_distance
+from snowcap.geomfield import _box_boundary_distance, _box_union_mask, _segment_distance
 
 SQRT3 = np.sqrt(3.0)
 
@@ -87,6 +87,41 @@ def test_cantor_mask_area_deficit():
     assert abs(total - 1.5**2) < 2 * grid.h  # grid covers the inflated box
     assert abs(deficit - exact) <= perimeter * grid.h
     assert area >= 1.5**2 - exact - perimeter * grid.h
+
+
+def box_union_by_loop(boxes, origin, h, dims):
+    # one box at a time: the index range of the centers inside it, clipped
+    hit = np.zeros(dims, dtype=bool)
+    for lo, hi in boxes:
+        sl = []
+        for ax in range(len(dims)):
+            i0 = int(np.ceil((lo[ax] - origin[ax]) / h - 0.5 - 1e-12))
+            i1 = int(np.floor((hi[ax] - origin[ax]) / h - 0.5 + 1e-12))
+            i0, i1 = max(i0, 0), min(i1, dims[ax] - 1)
+            if i1 < i0:
+                break
+            sl.append(slice(i0, i1 + 1))
+        else:
+            hit[tuple(sl)] = True
+    return hit
+
+
+@pytest.mark.parametrize("dim,depth,res", [(1, 6, 1000), (2, 4, 200), (3, 2, 40)])
+def test_box_union_mask_matches_per_box_loop(dim, depth, res):
+    rng = np.random.default_rng(dim)
+    origin, h, dims = np.full(dim, -0.25), 1.5 / res, (res,) * dim
+    lo = rng.uniform(-0.5, 1.3, (60, dim))
+    cases = {
+        "cantor": cantor_dust(1 / 4, dim, depth).primitives,
+        "overlapping, past the grid": np.stack([lo, lo + rng.uniform(0, 0.4, (60, dim))], 1),
+        "faces on centers 2 and 4": origin + h * np.array([[[2.5] * dim, [4.5] * dim]]),
+        "between two centers": origin + h * np.array([[[2.6] * dim, [2.9] * dim]]),
+    }
+    for name, boxes in cases.items():
+        want = box_union_by_loop(boxes, origin, h, dims)
+        assert np.array_equal(_box_union_mask(boxes, origin, h, dims), want), name
+    assert box_union_by_loop(cases["faces on centers 2 and 4"], origin, h, dims).sum() == 3**dim
+    assert not box_union_by_loop(cases["between two centers"], origin, h, dims).any()
 
 
 def test_empty_domain():
