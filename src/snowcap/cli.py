@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -27,16 +27,14 @@ import numpy as np
 from . import __version__
 from .errors import SnowcapError, SolverDiverged, EmptyDomain, EmptyRegion
 from .simsys import named_family, similarity_dimension, critical_delta, geometry_to_text
-from .geomfield import build_grid, distance_field
-from .forms import _hardy_solve, assemble_form, capacity_relaxed, collar_integral
-from .stochastic import WalkConfig, walk_absorption
+from .geomfield import _ball, build_grid, distance_field
+from .forms import (
+    _check_capacity, _check_collar, _check_delta, _check_hardy, _hardy_solve, assemble_form,
+    capacity_relaxed, collar_integral,
+)
+from .stochastic import WalkConfig, _start_index, walk_absorption
 from .records import (
-    ExperimentRecord,
-    record_id,
-    derive_seed,
-    append_record,
-    load_records,
-    load_ids,
+    _JSON_NAMES, ExperimentRecord, append_record, derive_seed, load_ids, load_records, record_id,
 )
 
 __all__ = ["run_subcommand", "main", "choose_depth"]
@@ -158,8 +156,7 @@ def _run_experiment(spec, args) -> dict:
     (the point z; the walk's start cell, before it derives its seed).
     """
     t0 = time.perf_counter()
-    if args.delta < 0:
-        raise ValueError("degeneracy order delta must be >= 0")
+    _check_delta(args.delta)
     depth = args.depth
     if depth is None:
         depth = choose_depth(args.family, args.lam, args.d, args.resolution)
@@ -176,25 +173,26 @@ def _run_experiment(spec, args) -> dict:
 # --- measurements of the single experiments ---------------------------------------
 
 
+def _outputs(result) -> dict:
+    """A record's outputs: the fields of a result that are not arrays."""
+    return {k: v for k, v in vars(result).items() if not isinstance(v, np.ndarray)}
+
+
 def _capacity(args, grid, build_field, params):
     eps = _parse_length(args.eps, grid.h)
-    if eps < 2.0 * grid.h:
-        raise ValueError("collar width eps must be at least two cells")
+    _check_capacity(grid.h, eps, args.cg_tol)
     res = capacity_relaxed(build_field(), args.delta, None, eps, cg_tol=args.cg_tol)
-    keys = ("value", "collar_eps", "solver_iters", "residual", "levels")
-    outputs = {k: getattr(res, k) for k in keys}
-    return outputs, {"cg_tol": args.cg_tol}, 0
+    return _outputs(res), {"cg_tol": args.cg_tol}, 0
 
 
 def _hardy(args, grid, build_field, params):
     z = _parse_point(args.z, args.d)
     params["z"] = list(z)
     r = _parse_length(args.r, grid.h)
-    quot, _, iters, resid, levels = _hardy_solve(build_field(), args.delta, z, r, args.tol,
-                                                 args.max_outer)
-    outputs = {"quotient": quot, "z": list(z), "r": r, "iterations": iters, "residual": resid,
-               "levels": levels}
-    return outputs, {"tol": args.tol}, 0
+    _check_hardy(args.tol, args.max_outer)
+    _ball(grid, z, r)
+    res = _hardy_solve(build_field(), args.delta, z, r, args.tol, args.max_outer)
+    return {**_outputs(res), "z": list(z), "r": r}, {"tol": args.tol}, 0
 
 
 def _collar(args, grid, build_field, params):
@@ -202,6 +200,8 @@ def _collar(args, grid, build_field, params):
     params["z"] = list(z)
     rho = _parse_length(args.rho, grid.h)
     taus = _parse_length_range(args.taus, grid.h)
+    _check_collar(args.delta, rho, *taus)
+    _ball(grid, z, rho)
     field = build_field()
     values = [collar_integral(field, args.delta, z, rho, t) for t in taus]
     slope = float(np.polyfit(np.log(taus), np.log(values), 1)[0])
@@ -213,12 +213,12 @@ def _walk(args, grid, build_field, params):
     params["start"] = list(start)
     cfg = WalkConfig(start=start, horizon=args.horizon, trials=args.trials, seed=args.seed,
                      absorb_eps=_parse_length(args.absorb_eps, grid.h))
+    _start_index(grid, cfg)
     # validated first: the record id cannot hash a non-finite horizon
     cfg = replace(cfg, seed=derive_seed(args.seed, record_id(params)))
     field = build_field()
     res = walk_absorption(assemble_form(field, args.delta), field, cfg)
-    keys = ("p_hat", "stderr", "absorbed", "trials", "clamp_events", "steps", "rounds")
-    return {k: getattr(res, k) for k in keys}, {}, cfg.seed
+    return _outputs(res), {}, cfg.seed
 
 
 # --- subcommands without a field ----------------------------------------------------
@@ -270,11 +270,10 @@ def _cmd_sweep(args) -> dict:
     deltas = _parse_range(args.deltas)
     if args.resolution < 16:
         raise _CliError("sweep resolution must be at least 16")
-    # checked here, not first in capacity_relaxed, so that no field is built
-    if not args.eps_cells >= 2:
-        raise ValueError("collar width eps must be at least two cells")
-    if not (deltas >= 0).all():
-        raise ValueError("degeneracy order delta must be >= 0")
+    # capacity_relaxed's rule, checked before any field is built: eps_cells
+    # is the collar width on a grid of unit cells
+    _check_capacity(1.0, args.eps_cells, args.cg_tol)
+    _check_delta(deltas.min())
     res_f, res_c = args.resolution, args.resolution // 2
     done = load_ids(args.out)
     written = 0
@@ -312,20 +311,15 @@ def _cmd_sweep(args) -> dict:
 def _write_csv(records, path: str) -> None:
     import csv
 
-    core = [
-        "id", "op", "family", "lambda", "depth", "d", "s", "delta", "delta_c",
-        "resolution", "seed", "wall_time", "version",
-    ]
+    core = [f.name for f in fields(ExperimentRecord) if f.name not in ("outputs", "tolerances")]
     out_keys = sorted({k for r in records for k in r.outputs})
     tol_keys = sorted({k for r in records for k in r.tolerances})
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(core + [f"out.{k}" for k in out_keys] + [f"tol.{k}" for k in tol_keys])
+        w.writerow([_JSON_NAMES.get(n, n) for n in core] + [f"out.{k}" for k in out_keys]
+                   + [f"tol.{k}" for k in tol_keys])
         for r in records:
-            row = [
-                r.id, r.op, r.family, r.lam, r.depth, r.dim, r.s, r.delta,
-                r.delta_c, r.resolution, r.seed, r.wall_time, r.version,
-            ]
+            row = [getattr(r, n) for n in core]
             for k in out_keys:
                 v = r.outputs.get(k, "")
                 row.append(json.dumps(v) if isinstance(v, (list, dict)) else v)

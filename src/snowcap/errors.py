@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SnowcapError", "NoSolutionInRange", "DepthOverflow", "EmptyDomain", "EmptyRegion",
+    "DegenerateFit", "InsufficientSamples", "Disconnected", "SolverDiverged",
+]
+
 
 class SnowcapError(Exception):
     """Base class for all snowcap-specific errors."""

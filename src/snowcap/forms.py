@@ -21,10 +21,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
-from scipy.spatial import cKDTree
 
 from .errors import EmptyRegion, SolverDiverged
-from .geomfield import DistanceField
+from .geomfield import DistanceField, _ball
 
 __all__ = [
     "SparseForm",
@@ -43,14 +42,18 @@ def _clamped(dist: np.ndarray, h: float) -> np.ndarray:
     return np.maximum(np.minimum(dist, 1.0), h / 2.0)
 
 
+def _check_delta(delta: float) -> None:
+    if not delta >= 0:
+        raise ValueError("degeneracy order delta must be >= 0")
+
+
 def weight_field(field: DistanceField, delta: float) -> np.ndarray:
     """Cellwise diffusion weight c = clamp(d_Gamma)^delta.
 
     The distance is capped at 1 (far-field weight is 1) and floored at h/2
     so boundary-adjacent cells keep a positive weight of the right order.
     """
-    if delta < 0:
-        raise ValueError("degeneracy order delta must be >= 0")
+    _check_delta(delta)
     return _clamped(field.values, field.grid.h) ** delta
 
 
@@ -241,21 +244,6 @@ def _spd_solver(A: csr_matrix, coords: np.ndarray):
     return solve, len(levels) + 1
 
 
-def _ball(field: DistanceField, z, r: float) -> np.ndarray:
-    """Flat mask of the domain cells whose centre lies strictly within r of z."""
-    grid, d = field.grid, field.grid.dim
-    z = np.asarray(z, dtype=float)
-    # per-axis squared offsets broadcast over the grid, summed in axis order
-    sq = sum(
-        ((grid.axis_centers(ax) - z[ax]) ** 2).reshape([-1 if k == ax else 1 for k in range(d)])
-        for ax in range(d)
-    )
-    region = grid.omega_mask.ravel() & (np.sqrt(sq).ravel() < r)
-    if not region.any():
-        raise EmptyRegion(f"no in-domain cell within {r} of z")
-    return region
-
-
 # --- capacity test functions ---------------------------------------------------
 
 
@@ -269,6 +257,7 @@ def _target_distances(field: DistanceField, a_mask) -> np.ndarray:
         raise ValueError("target mask must be None or a boolean array of grid shape")
     if not a_mask.any():
         return np.full(field.grid.dims, np.inf)
+    from scipy.spatial import cKDTree  # imported on use: it slows every import of snowcap
     pts = field.grid.centers()
     tree = cKDTree(pts[a_mask.ravel()])
     d, _ = tree.query(pts)
@@ -331,6 +320,14 @@ class CapacityResult:
     psi: np.ndarray | None = None
 
 
+def _check_capacity(h: float, eps: float, cg_tol: float) -> None:
+    """The options `capacity_relaxed` refuses on a grid of cell size h."""
+    if not eps >= 2.0 * h:
+        raise ValueError("collar width eps must be at least two cells")
+    if not 0 < cg_tol < np.inf:
+        raise ValueError("cg_tol must be positive and finite")
+
+
 def capacity_relaxed(
     field: DistanceField,
     delta: float,
@@ -343,14 +340,14 @@ def capacity_relaxed(
 
     The free-cell system is symmetric positive definite and solved by
     conjugate gradients preconditioned with a smoothed-aggregation
-    multigrid cycle, to relative residual cg_tol; a solve that stalls
-    raises SolverDiverged. x0 optionally warm-starts the solver with a
-    full-grid flat or grid-shaped guess. The minimizer must land in [0, 1]
-    by the discrete maximum principle; this is checked, not enforced.
+    multigrid cycle, to relative residual cg_tol, which must be positive and
+    finite; a solve that stalls raises SolverDiverged. x0 optionally
+    warm-starts the solver with a full-grid flat or grid-shaped guess. The
+    minimizer must land in [0, 1] by the discrete maximum principle; this is
+    checked, not enforced.
     """
     grid = field.grid
-    if eps < 2.0 * grid.h:
-        raise ValueError("collar width eps must be at least two cells")
+    _check_capacity(grid.h, eps, cg_tol)
     d_a = _target_distances(field, a_mask)
     mask_flat = grid.omega_mask.ravel()
     collar = mask_flat & (d_a.ravel() < eps)
@@ -396,8 +393,7 @@ def hardy_quotient(
     r: float,
     tol: float = 1e-6,
     max_outer: int = 200,
-    return_vector: bool = False,
-):
+) -> float:
     """Smallest Rayleigh quotient h(phi) / sum h^d clamp(d)^(delta-2) phi^2
     over functions supported on the in-domain cells within r of z.
 
@@ -413,13 +409,31 @@ def hardy_quotient(
     relative eigenvalue error by tol times lambda over the spectral gap
     (Kato-Temple). It raises SolverDiverged past max_outer iterations or
     when the search directions lose rank, which is also how a tol below the
-    attainable accuracy ends. return_vector=True also returns the
-    M-normalized eigenvector on the grid.
+    attainable accuracy ends. A tol that is not positive and finite, or a
+    negative max_outer, raises ValueError before any assembly.
     """
-    lam, vec, _, _, _ = _hardy_solve(field, delta, z, r, tol, max_outer)
-    if return_vector:
-        return lam, vec.reshape(field.grid.dims)
-    return lam
+    return _hardy_solve(field, delta, z, r, tol, max_outer).quotient
+
+
+@dataclass(frozen=True)
+class _HardyResult:
+    """`hardy_quotient`'s solve: the quotient, the LOBPCG iterations, the
+    relative residual, the number of multigrid levels and the M-normalized
+    eigenvector on the grid."""
+
+    quotient: float
+    iterations: int
+    residual: float
+    levels: int
+    vector: np.ndarray
+
+
+def _check_hardy(tol: float, max_outer: int) -> None:
+    """The solver options `hardy_quotient` refuses."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_outer < 0:
+        raise ValueError("max_outer must be >= 0")
 
 
 def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
@@ -428,7 +442,7 @@ def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
     temporaries are freed before the solve."""
     grid = field.grid
     h, d = grid.h, grid.dim
-    ball = _ball(field, z, r)
+    ball = _ball(grid, z, r)
     idx = np.flatnonzero(ball)
     m = len(idx)
     ii, jj = _axis_neighbor_pairs(ball.reshape(grid.dims))
@@ -442,11 +456,10 @@ def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
     return idx, K, h**d * dist ** (delta - 2.0)
 
 
-def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float, max_outer: int):
-    """`hardy_quotient`'s solve: returns the quotient, the flat M-normalized
-    eigenvector, the LOBPCG iterations, the relative residual and the
-    number of multigrid levels."""
+def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float,
+                 max_outer: int) -> _HardyResult:
     grid = field.grid
+    _check_hardy(tol, max_outer)
     idx, K, mass = _hardy_pencil(field, delta, z, r)
     levels, coarse = _hierarchy(K, np.column_stack(np.unravel_index(idx, grid.dims)))
 
@@ -503,7 +516,7 @@ def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float, ma
 
     full = np.zeros(grid.n_cells)
     full[idx] = x
-    return lam, full, iters, resid, len(levels) + 1
+    return _HardyResult(lam, iters, resid, len(levels) + 1, full.reshape(grid.dims))
 
 
 # --- collar integral ---------------------------------------------------------------
@@ -519,11 +532,14 @@ def collar_integral(field: DistanceField, delta: float, z, rho: float, tau: floa
     behind the uniqueness dichotomy.
     """
     grid = field.grid
-    if delta < 0:
-        raise ValueError("degeneracy order delta must be >= 0")
-    if not 0.0 < tau < rho:
-        raise ValueError("need 0 < tau < rho")
-    region = _ball(field, z, rho)
-    dvals = np.minimum(field.values.ravel()[region], 1.0)
-    reg = np.maximum(np.maximum(dvals, tau), grid.h / 2.0)
+    _check_collar(delta, rho, tau)
+    region = _ball(grid, z, rho)
+    reg = np.maximum(_clamped(field.values.ravel()[region], grid.h), tau)
     return float(grid.h**grid.dim * np.sum(reg ** (delta - 2.0)))
+
+
+def _check_collar(delta: float, rho: float, *taus: float) -> None:
+    """The options `collar_integral` refuses, for every tau given."""
+    _check_delta(delta)
+    if not all(0.0 < tau < rho for tau in taus):
+        raise ValueError("need 0 < tau < rho")

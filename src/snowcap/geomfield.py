@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateFit,
@@ -362,6 +361,21 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
     )
 
 
+def _ball(grid: Grid, z, r: float) -> np.ndarray:
+    """Flat mask of the domain cells whose centre lies strictly within r of z."""
+    d = grid.dim
+    z = np.asarray(z, dtype=float)
+    # per-axis squared offsets broadcast over the grid, summed in axis order
+    sq = sum(
+        ((grid.axis_centers(ax) - z[ax]) ** 2).reshape([-1 if k == ax else 1 for k in range(d)])
+        for ax in range(d)
+    )
+    region = grid.omega_mask.ravel() & (np.sqrt(sq).ravel() < r)
+    if not region.any():
+        raise EmptyRegion(f"no in-domain cell within {r} of z")
+    return region
+
+
 # --- scaling of near-boundary volume ------------------------------------------
 
 
@@ -446,6 +460,7 @@ def ahlfors_check(
     rng = np.random.default_rng(seed)
     centers = reps[rng.choice(len(reps), size=n_centers, p=masses)]
     radii = np.geomspace(r_lo, r_hi, radii_per_center)
+    from scipy.spatial import cKDTree  # imported on use: it slows every import of snowcap
     tree = cKDTree(reps)
     ratios = []
     for x in centers:
@@ -469,18 +484,15 @@ def uniformity_estimate(
 ) -> float:
     """Smallest cigar constant sigma joining sampled cell pairs near z.
 
-    For a pair (x, y), a lattice path (kings moves on in-domain cells within
-    distance R of z) is admissible at level sigma when every visited cell w
+    For a pair (x, y), a lattice path (kings moves on in-domain cells strictly
+    within R of z) is admissible at level sigma when every visited cell w
     keeps sigma * d(w) >= min(|w-x|, |w-y|) and the path length is at most
     sigma * |x-y|. Bisection over sigma per pair; the maximum over pairs is
     returned, saturated at sigma_max. Raises Disconnected when a sampled pair
     has no path at all inside the region.
     """
     grid = field.grid
-    z = np.asarray(z, dtype=float)
-    centers = grid.centers()
-    dist_z = np.linalg.norm(centers - z, axis=1)
-    region = grid.omega_mask.ravel() & (dist_z <= R)
+    region = _ball(grid, z, R)
     node_ids = np.flatnonzero(region)
     if len(node_ids) < 2:
         raise EmptyRegion("fewer than two cells near z")
@@ -512,7 +524,7 @@ def uniformity_estimate(
     n = len(node_ids)
     graph = csr_matrix((wts, (rows, cols)), shape=(n, n))
 
-    pts = centers[node_ids]
+    pts = grid.centers()[node_ids]
     dvals = field.values.ravel()[node_ids]
     rng = np.random.default_rng(seed)
     sigma_est = 1.0

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field, fields
 
 from .simsys import named_family, similarity_dimension, critical_delta
 
+__all__ = ["ExperimentRecord", "record_id", "derive_seed", "append_record", "load_records",
+           "load_ids"]
+
 _VALIDATION_TOL = 1e-9
 # JSON names of the record fields whose attribute names differ
 _JSON_NAMES = {"lam": "lambda", "dim": "d"}

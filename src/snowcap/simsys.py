@@ -11,7 +11,7 @@ the plane, axis-aligned boxes otherwise) suitable for gridding.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -168,7 +168,6 @@ class BoundaryGeometry:
     approx_error: float
     domain_rule: str
     system: SimilaritySystem | None = None
-    _diameter: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.primitives, dtype=float)
@@ -178,6 +177,8 @@ class BoundaryGeometry:
             raise ValueError("segments must have shape (n, 2, 2) in dimension 2")
         if self.kind == "boxes" and (p.ndim != 3 or p.shape[1] != 2 or p.shape[2] != self.dim):
             raise ValueError("boxes must have shape (n, 2, d)")
+        if not len(p):
+            raise ValueError("need at least one primitive")
         if self.domain_rule not in ("interior", "complement"):
             raise ValueError(f"unknown domain rule {self.domain_rule!r}")
         if self.domain_rule == "interior" and self.kind != "segments":
@@ -187,14 +188,12 @@ class BoundaryGeometry:
         if self.system is not None and self.system.dim != self.dim:
             raise ValueError("system dimension does not match geometry dimension")
         object.__setattr__(self, "primitives", p)
-        lo = p.reshape(len(p) * 2, -1).min(axis=0)
-        hi = p.reshape(len(p) * 2, -1).max(axis=0)
-        object.__setattr__(self, "_diameter", float(np.linalg.norm(hi - lo)))
 
     @property
     def diameter(self) -> float:
         """Diameter proxy of the realized boundary (bounding-box diagonal)."""
-        return self._diameter
+        lo, hi = self.bounds()
+        return float(np.linalg.norm(hi - lo))
 
     def bounds(self):
         p = self.primitives

@@ -177,6 +177,19 @@ def _advance(jumps: _Jumps, cell, t, hold, pick):
     return sel, cell, t, steps, clamps, absorbed
 
 
+def _start_index(grid, cfg: WalkConfig) -> int:
+    """Flat index of the start cell, once cfg passes the checks made on the grid."""
+    if cfg.absorb_eps < 2.0 * grid.h:
+        raise ValueError("absorb_eps must span at least two cells")
+    start = cfg.start
+    if not np.isscalar(start):
+        start = np.ravel_multi_index(tuple(int(k) for k in start), grid.dims)
+    start = int(start)
+    if not (0 <= start < grid.n_cells) or not grid.omega_mask.ravel()[start]:
+        raise ValueError("start cell must be inside the domain")
+    return start
+
+
 def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> WalkResult:
     """Run cfg.trials absorbed walks; return the absorbed fraction.
 
@@ -194,20 +207,10 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
     hash pass at every step.
     """
     grid = field.grid
-    h = grid.h
-    if cfg.absorb_eps < 2.0 * h:
-        raise ValueError("absorb_eps must span at least two cells")
+    start = _start_index(grid, cfg)
     if form.n_cells != grid.n_cells:
         raise ValueError("form and field live on different grids")
-
-    start = cfg.start
-    if not np.isscalar(start):
-        start = int(np.ravel_multi_index(tuple(int(k) for k in start), grid.dims))
-    else:
-        start = int(start)
     mask_flat = grid.omega_mask.ravel()
-    if not (0 <= start < grid.n_cells) or not mask_flat[start]:
-        raise ValueError("start cell must be inside the domain")
     d_flat = field.values.ravel()
     if d_flat[start] < cfg.absorb_eps:
         raise ValueError("start cell lies inside the absorbing collar")

@@ -219,11 +219,28 @@ def test_record_ids_are_pinned(argv, ids, seeds, tmp_path, capsys):
 
 _DELTA = "degeneracy order delta must be >= 0"
 _WALK = ["walk", *_C, "--delta", "0.0", "--start", "0.5,0.5"]
+_HARDY = ["hardy", *_C, "--delta", "0.5", "--z", "0.5,0.5"]
+_COLLAR = ["collar", *_C, "--delta", "0.5"]
+_TOL = "tol must be positive and finite"
+_CG_TOL = "cg_tol must be positive and finite"
+# argv, error message and, where it is not "config", the error code
 REFUSED = {
     "walk-trials-0": ([*_WALK, "--trials", "0"], "need at least one trial"),
     "walk-horizon-inf": ([*_WALK, "--horizon", "inf"], "horizon must be positive and finite"),
     "walk-horizon-nan": ([*_WALK, "--horizon", "nan"], "horizon must be positive and finite"),
+    "walk-absorb-eps": ([*_WALK, "--absorb-eps", "1h"], "absorb_eps must span at least two cells"),
+    "walk-start": (["walk", "--family", "koch", "--lambda", "0.25", "--resolution", "32",
+                    "--delta", "0.0", "--start", "9,9"], "start cell must be inside the domain"),
+    "hardy-r-0": ([*_HARDY, "--r", "0"], "no in-domain cell within 0.0 of z", "empty-domain"),
+    "hardy-max-outer": ([*_HARDY, "--r", "12h", "--max-outer", "-1"], "max_outer must be >= 0"),
+    "hardy-tol-0": ([*_HARDY, "--r", "12h", "--tol", "0"], _TOL),
+    "hardy-tol-nan": ([*_HARDY, "--r", "12h", "--tol", "nan"], _TOL),
+    "collar-rho": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "4h"], "need 0 < tau < rho"),
+    "collar-ball": ([*_COLLAR, "--z", "9,9", "--rho", "0.3", "--taus", "1h:4h:4"],
+                    "no in-domain cell within 0.3 of z", "empty-domain"),
+    "capacity-cg-tol": (["capacity", *_C, "--delta", "0.5", "--cg-tol", "0"], _CG_TOL),
     "capacity-delta": (["capacity", *_C, "--delta", "-1"], _DELTA),
+    "capacity-delta-nan": (["capacity", *_C, "--delta", "nan"], _DELTA),
     "capacity-eps": (["capacity", *_C, "--delta", "0.5", "--eps", "1h"],
                      "collar width eps must be at least two cells"),
     "collar-delta": (["collar", *_C, "--delta", "-1", "--z", "0.5,0.5", "--rho", "0.3",
@@ -233,16 +250,19 @@ REFUSED = {
     "sweep-eps-cells-nan": ([*_SWEEP4, "--eps-cells", "nan"],
                             "collar width eps must be at least two cells"),
     "sweep-deltas": ([*_SWEEP4, "--deltas=-0.5:2.5:2"], _DELTA),
+    "sweep-cg-tol": ([*_SWEEP4, "--cg-tol", "0"], _CG_TOL),
 }
 
 
-@pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED.keys())
-def test_bad_options_fail_before_the_field_build(argv, message, field_builds, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message, code",
+                         [(*case, "config")[:3] for case in REFUSED.values()], ids=REFUSED.keys())
+def test_bad_options_fail_before_the_field_build(argv, message, code, field_builds, tmp_path,
+                                                 capsys):
     recs = tmp_path / "r.jsonl"
     rc, out, err = run(capsys, *argv, "--out" if argv[0] == "sweep" else "--records", str(recs))
     assert rc == 2
     assert out == ""
-    assert json.loads(err) == {"error": "config", "message": message}
+    assert json.loads(err) == {"error": code, "message": message}
     assert field_builds == []
     assert not recs.exists()
 

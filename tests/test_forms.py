@@ -216,6 +216,12 @@ def test_capacity_validation(koch128):
     for bad in (empty.astype(float), empty[:-1]):
         with pytest.raises(ValueError, match="target mask"):
             capacity_relaxed(koch128, 1.0, bad, 8 * koch128.grid.h)
+    # the tolerance is checked before the collar: this target leaves it empty
+    for cg_tol in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cg_tol must be positive and finite"):
+            capacity_relaxed(koch128, 1.0, empty, 8 * koch128.grid.h, cg_tol=cg_tol)
+    with pytest.raises(ValueError, match="two cells"):
+        capacity_relaxed(koch128, 1.0, None, np.nan)
 
 
 def test_upper_eta_dominates_relaxed(koch128):
@@ -375,9 +381,9 @@ def test_hardy_small_balls_match_dense_answer():
     for delta in (0.0, 1.0, 2.0):
         # 300 cells: the hierarchy is a single direct level
         ref = line_ground_value(300, delta)
-        value, _, _, _, levels = _hardy_solve(field, delta, (0.0,), 1.0, 1e-6, 200)
-        assert levels == 1
-        assert abs(value - ref) <= 1e-8 * ref
+        res = _hardy_solve(field, delta, (0.0,), 1.0, 1e-6, 200)
+        assert res.levels == 1
+        assert abs(res.quotient - ref) <= 1e-8 * ref
         # one cell at distance x, both faces closed: 4 c / h over h x^(delta-2)
         for k in (0, 5):
             b = hardy_quotient(field, delta, ((k + 0.5) * h,), 0.4 * h)
@@ -392,10 +398,10 @@ def test_hardy_quotient_meets_its_stop_rule():
         idx, K, mass = _hardy_pencil(field, delta, (0.0,), 2.0)
         for tol in (1e-14, 1e-16, 1e-18):
             try:
-                b, vec = hardy_quotient(field, delta, (0.0,), 2.0, tol=tol, return_vector=True)
+                sol = _hardy_solve(field, delta, (0.0,), 2.0, tol, 200)
             except SolverDiverged:
                 continue
-            v = vec.ravel()[idx]
+            b, v = sol.quotient, sol.vector.ravel()[idx]
             res = K @ v - b * mass * v
             assert res @ (res / mass) <= tol * b * b
 
@@ -405,6 +411,19 @@ def test_hardy_iteration_cap_raises():
         hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0, max_outer=0)
     b = hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0, max_outer=20)
     assert b > 0
+
+
+def test_hardy_validation():
+    # the solver options are checked before the ball is built: a ball that
+    # holds no cell would raise EmptyRegion
+    field = line_field(1000)
+    for tol in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            hardy_quotient(field, 0.5, (5.0,), 0.1, tol=tol)
+    with pytest.raises(ValueError, match="max_outer must be >= 0"):
+        hardy_quotient(field, 0.5, (5.0,), 0.1, max_outer=-1)
+    with pytest.raises(EmptyRegion):
+        hardy_quotient(field, 0.5, (5.0,), 0.1)
 
 
 def test_hardy_2d_matches_dense_eigensolver():
@@ -449,7 +468,8 @@ def test_hardy_2d_matches_dense_eigensolver():
 
 def test_hardy_vector_consistency():
     field = line_field(4000)
-    b, vec = hardy_quotient(field, 0.5, (0.0,), 1.0, return_vector=True)
+    res = _hardy_solve(field, 0.5, (0.0,), 1.0, 1e-6, 200)
+    b, vec = res.quotient, res.vector
     x = field.grid.axis_centers(0)
     mass = field.grid.h * np.maximum(x, field.grid.h / 2) ** (0.5 - 2.0)
     assert abs(float(mass @ vec**2) - 1.0) <= 1e-8

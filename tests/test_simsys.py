@@ -243,6 +243,8 @@ def test_parameter_validation():
         cantor_dust(0.6, 2, 1)
     with pytest.raises(ValueError):
         vicsek(0.3, 4, 1)
+    with pytest.raises(ValueError, match="at least one primitive"):
+        BoundaryGeometry(2, "segments", np.zeros((0, 2, 2)), 0, 0.0, "interior")
 
 
 # --- text exchange format ----------------------------------------------------
