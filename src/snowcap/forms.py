@@ -68,7 +68,6 @@ class SparseForm:
     edges: tuple
     cell_volume: float
     n_cells: int
-    dim: int
 
     def energy(self, phi: np.ndarray) -> float:
         """h(phi) for a grid function (flat or grid-shaped)."""
@@ -135,7 +134,6 @@ def assemble_form(field: DistanceField, delta: float) -> SparseForm:
         edges=(ii, jj, ww),
         cell_volume=grid.h**d,
         n_cells=grid.n_cells,
-        dim=d,
     )
 
 

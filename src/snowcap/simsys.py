@@ -183,6 +183,8 @@ class BoundaryGeometry:
             raise ValueError(f"unknown domain rule {self.domain_rule!r}")
         if self.domain_rule == "interior" and self.kind != "segments":
             raise ValueError("interior domains require a segment polygon")
+        if self.domain_rule == "complement" and self.kind != "boxes":
+            raise ValueError("complement domains require boxes")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.system is not None and self.system.dim != self.dim:

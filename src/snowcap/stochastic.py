@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomfield import DistanceField
+from .geomfield import DistanceField, Grid
 from .forms import SparseForm
 
 __all__ = ["WalkConfig", "WalkResult", "walk_absorption"]
@@ -84,10 +84,10 @@ def _u01(seed: np.uint64, counter: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Jumps:
-    """What a step of one walk reads: tables indexed by domain cell
-    (position in idx), and the horizon."""
+    """What a step of one walk reads: tables indexed by flat grid cell, and
+    the horizon."""
 
-    target: np.ndarray  # cell * 2d + slot -> domain cell, or -1 for a collar cell
+    target: np.ndarray  # cell * 2d + slot -> neighbour cell, or -1 for a collar cell
     cum_head: list  # cumulative edge rates of every slot but the last, per slot
     total: np.ndarray  # total exit rate: scales the pick
     divisor: np.ndarray  # clamped rate that divides the hold, 0 for a zero rate
@@ -96,34 +96,26 @@ class _Jumps:
     horizon: float
 
 
-def _neighbour_rates(form: SparseForm, idx: np.ndarray):
-    """Dense per-cell neighbour table over the domain cells idx: indices
-    and edge rates, zero-padded to 2d slots. A function of its own so that
-    its sort arrays are freed before the walk's tables are derived."""
-    m = len(idx)
-    pos = -np.ones(form.n_cells, dtype=np.int64)
-    pos[idx] = np.arange(m)
+def _jump_tables(form: SparseForm, grid: Grid, absorbing: np.ndarray, horizon: float) -> _Jumps:
+    """Tables over the flat grid cells; absorbing flags their collar cells.
+
+    Slot ax holds a cell's neighbour one step up axis ax and slot d + ax the
+    one a step down. A missing neighbour keeps rate 0, which no pick reaches:
+    the pick lies strictly below the total."""
+    d = grid.dim
+    strides = np.cumprod((grid.dims[1:] + (1,))[::-1])[::-1]
     ii, jj, ww = form.edges
-    rate = ww / form.cell_volume
-    src = np.concatenate([pos[ii], pos[jj]])
-    dst = np.concatenate([pos[jj], pos[ii]])
-    rr = np.concatenate([rate, rate])
-    order = np.argsort(src, kind="stable")
-    src, dst, rr = src[order], dst[order], rr[order]
-    slot = np.arange(len(src)) - np.searchsorted(src, src)
-
-    deg = 2 * form.dim
-    nbr = np.zeros((m, deg), dtype=np.int64)
-    rates = np.zeros((m, deg))
-    nbr[src, slot] = dst
-    rates[src, slot] = rr
-    return nbr, rates
-
-
-def _jump_tables(form: SparseForm, idx: np.ndarray, absorbing: np.ndarray,
-                 horizon: float) -> _Jumps:
-    """Tables over the domain cells idx; absorbing flags their collar cells."""
-    nbr, rates = _neighbour_rates(form, idx)
+    step = jj - ii
+    # strides fall with the axis; a length-1 axis shares its predecessor's
+    # stride but has no edges, so a tie goes to the first axis
+    ax = np.minimum(np.searchsorted(-strides, -step), d - 1)
+    if np.any(strides[ax] != step):
+        raise ValueError("form and field live on different grids")
+    nbr = np.zeros((grid.n_cells, 2 * d), dtype=np.int64)
+    rates = np.zeros((grid.n_cells, 2 * d))
+    nbr[ii, ax] = jj
+    nbr[jj, d + ax] = ii
+    rates[ii, ax] = rates[jj, d + ax] = ww / form.cell_volume
     total = rates.sum(axis=1)
     clamped = total > _RATE_CAP
     capped = np.minimum(total, _RATE_CAP)
@@ -210,13 +202,10 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
     start = _start_index(grid, cfg)
     if form.n_cells != grid.n_cells:
         raise ValueError("form and field live on different grids")
-    mask_flat = grid.omega_mask.ravel()
     d_flat = field.values.ravel()
     if d_flat[start] < cfg.absorb_eps:
         raise ValueError("start cell lies inside the absorbing collar")
-
-    idx = np.flatnonzero(mask_flat)
-    jumps = _jump_tables(form, idx, d_flat[idx] < cfg.absorb_eps, cfg.horizon)
+    jumps = _jump_tables(form, grid, d_flat < cfg.absorb_eps, cfg.horizon)
 
     n = cfg.trials
     seed = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
@@ -226,7 +215,7 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
     # live trials only: counter base (trial << 41), cell and elapsed time;
     # every live trial has drawn the same number of holds, `step`
     base = np.arange(n, dtype=np.uint64) << np.uint64(41)
-    cell = np.full(n, np.searchsorted(idx, start))
+    cell = np.full(n, start)
     t = np.zeros(n)
     step = 0
     absorbed = clamp_events = steps = rounds = 0

@@ -245,6 +245,8 @@ def test_parameter_validation():
         vicsek(0.3, 4, 1)
     with pytest.raises(ValueError, match="at least one primitive"):
         BoundaryGeometry(2, "segments", np.zeros((0, 2, 2)), 0, 0.0, "interior")
+    with pytest.raises(ValueError, match="complement domains require boxes"):
+        BoundaryGeometry(2, "segments", np.zeros((1, 2, 2)), 0, 0.0, "complement")
 
 
 # --- text exchange format ----------------------------------------------------
@@ -285,12 +287,14 @@ def test_geometry_text_roundtrip_custom():
     assert np.array_equal(back.primitives, square)
     assert back.domain_rule == "interior"
     # an unknown tag, a named family without lambda, or a custom one with a
-    # lambda must not load as a geometry without its system
+    # lambda must not load as a geometry without its system; nor may
+    # segments load as boxes under the complement rule
     named = geometry_to_text(cantor_dust(1 / 4, 2, 1))
     for bad in (
         named.replace("family=cantor-dust", "family=vicsk"),
         named.replace("lambda=0.25", "lambda=nan"),
         text.replace("lambda=nan", "lambda=0.25"),
+        geometry_to_text(koch_snowflake(1 / 3, 1)).replace("rule=interior", "rule=complement"),
     ):
         with pytest.raises(ValueError):
             geometry_from_text(bad)

@@ -18,10 +18,14 @@ from snowcap import (
 from snowcap import stochastic
 
 
-def line_field(n, mask=None):
+def line_field(n, mask=None, dims=None):
+    """The unit line with its boundary at 0, on a grid of shape dims
+    (default (n,)) whose one long axis holds the line."""
+    dims = (n,) if dims is None else dims
     mask = np.ones(n, dtype=bool) if mask is None else mask
-    grid = Grid((0.0,), 1.0 / n, (n,), mask)
-    return DistanceField(grid, grid.axis_centers(0).copy(), 0.0, 1.0)
+    grid = Grid((0.0,) * len(dims), 1.0 / n, dims, mask.reshape(dims))
+    x = (np.arange(n) + 0.5) / n
+    return DistanceField(grid, x.reshape(dims), 0.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +118,30 @@ def test_config_validation(line64):
 
 def test_grid_mismatch_raises(line64, dust128):
     _, form = line64
-    with pytest.raises(ValueError):
-        walk_absorption(form, dust128, WalkConfig(0, 1.0, 10, 1, 0.05))
+    cfg = WalkConfig((16, 16), 0.3, 10, 1, 4 * dust128.grid.h)
+    with pytest.raises(ValueError, match="different grids"):
+        walk_absorption(form, dust128, cfg)
+    # as many cells as the 128 x 128 field, but rows of 256: the form's
+    # row steps match no stride of the field's grid
+    dims = (64, 256)
+    wide = DistanceField(Grid((0.0, 0.0), 1.0 / 256, dims, np.ones(dims, dtype=bool)),
+                         np.ones(dims), 0.0, 1.0)
+    with pytest.raises(ValueError, match="different grids"):
+        walk_absorption(assemble_form(wide, 0.0), dust128, cfg)
+
+
+def test_line_layouts_agree():
+    # one line on grids of shape (n,), (n, 1) and (1, n): a length-1 axis
+    # shares a stride with the axis before it. With n a power of two the
+    # rates are equal bit for bit, and so are the walks
+    n = 256
+    out = []
+    for dims in ((n,), (n, 1), (1, n)):
+        df = line_field(n, dims=dims)
+        cfg = WalkConfig(n // 3, 0.1, 500, 11, 2.5 / n)
+        out.append(walk_absorption(assemble_form(df, 0.5), df, cfg))
+    assert 0.1 < out[0].p_hat < 0.9
+    assert out[0] == out[1] == out[2]
 
 
 def _pinned_case(name, dust128):
@@ -184,15 +210,16 @@ def _exact_absorption(form, field, start, horizon, eps):
     return expm_multiply(horizon * q, collar.astype(float))[start]
 
 
-@pytest.mark.parametrize("res, delta, horizon, collar_cells", [
-    (64, 0.0, 0.03, 4),
-    (64, 1.0, 0.2, 3),
-    (64, 2.0, 2.0, 4),
-    (128, 0.0, 0.03, 8),
+@pytest.mark.parametrize("dim, res, delta, horizon, collar_cells", [
+    (2, 64, 0.0, 0.03, 4),
+    (2, 64, 1.0, 0.2, 3),
+    (2, 64, 2.0, 2.0, 4),
+    (2, 128, 0.0, 0.03, 8),
+    (3, 32, 0.0, 0.03, 3),
 ])
-def test_walk_matches_exact_absorption(res, delta, horizon, collar_cells):
+def test_walk_matches_exact_absorption(dim, res, delta, horizon, collar_cells):
     # start in the central gap of the dust, where p lies between 0.25 and 0.55
-    geom = cantor_dust(0.25, 2, 3 if res == 64 else 4)
+    geom = cantor_dust(0.25, dim, 3 if res <= 64 else 4)
     df = distance_field(geom, build_grid(geom, res))
     form = assemble_form(df, delta)
     start = tuple(n // 2 for n in df.grid.dims)
