@@ -122,9 +122,13 @@ def choose_depth(family: str, lam: float, dim: int, resolution: int) -> int:
 
 
 def _start_cell(point: tuple, grid) -> tuple:
-    """Grid multi-index of the cell whose center is nearest to a point."""
+    """Grid multi-index of the cell whose center is nearest to a point of the
+    grid's box [origin, origin + dims h]."""
     idx = []
     for ax, p in enumerate(point):
+        if not grid.origin[ax] <= p <= grid.origin[ax] + grid.dims[ax] * grid.h:
+            raise _CliError("start cell must be inside the domain")
+        # a point on the box's far face rounds to index dims[ax]
         i = int(np.round((p - grid.origin[ax]) / grid.h - 0.5))
         idx.append(int(np.clip(i, 0, grid.dims[ax] - 1)))
     return tuple(idx)
@@ -274,6 +278,8 @@ def _cmd_sweep(args) -> dict:
     # is the collar width on a grid of unit cells
     _check_capacity(1.0, args.eps_cells, args.cg_tol)
     _check_delta(deltas.min())
+    for lam in lams:
+        named_family(args.family).system(float(lam), args.d)
     res_f, res_c = args.resolution, args.resolution // 2
     done = load_ids(args.out)
     written = 0

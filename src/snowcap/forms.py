@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import EmptyRegion, SolverDiverged
-from .geomfield import DistanceField, _ball
+from .geomfield import DistanceField, Grid, _ball
 
 __all__ = [
     "SparseForm",
@@ -62,12 +62,11 @@ class SparseForm:
     """Symmetric nonnegative quadratic form over flat grid indices.
 
     edges holds each unordered in-domain neighbor pair once as parallel
-    arrays (i, j, w). cell_volume is h^d; n_cells the flat grid size.
+    arrays (i, j, w); grid is the grid the form was assembled on.
     """
 
     edges: tuple
-    cell_volume: float
-    n_cells: int
+    grid: Grid
 
     def energy(self, phi: np.ndarray) -> float:
         """h(phi) for a grid function (flat or grid-shaped)."""
@@ -78,12 +77,7 @@ class SparseForm:
 
     def matrix(self) -> csr_matrix:
         """Graph Laplacian L with phi^T L phi = h(phi), on flat indices."""
-        ii, jj, ww = self.edges
-        n = self.n_cells
-        rows = np.concatenate([ii, jj, ii, jj])
-        cols = np.concatenate([jj, ii, ii, jj])
-        vals = np.concatenate([-ww, -ww, ww, ww])
-        return csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return _spd_matrix(self.edges, np.zeros(self.grid.n_cells))
 
     def restrict(self, keep: np.ndarray):
         """Restrict the form to the cells of a flat boolean mask.
@@ -94,7 +88,7 @@ class SparseForm:
         """
         ii, jj, ww = self.edges
         idx = np.flatnonzero(keep)
-        pos = -np.ones(self.n_cells, dtype=np.int64)
+        pos = -np.ones(self.grid.n_cells, dtype=np.int64)
         pos[idx] = np.arange(len(idx))
         ki, kj = keep[ii], keep[jj]
         both = ki & kj
@@ -128,13 +122,8 @@ def assemble_form(field: DistanceField, delta: float) -> SparseForm:
     grid = field.grid
     c = weight_field(field, delta).ravel()
     ii, jj = _axis_neighbor_pairs(grid.omega_mask)
-    d = grid.dim
-    ww = grid.h ** (d - 2) * 0.5 * (c[ii] + c[jj])
-    return SparseForm(
-        edges=(ii, jj, ww),
-        cell_volume=grid.h**d,
-        n_cells=grid.n_cells,
-    )
+    ww = grid.h ** (grid.dim - 2) * 0.5 * (c[ii] + c[jj])
+    return SparseForm((ii, jj, ww), grid)
 
 
 def _spd_matrix(edges, diag: np.ndarray) -> csr_matrix:
@@ -287,7 +276,7 @@ def capacity_upper_eta(field: DistanceField, delta: float, a_mask, r_list, n_lis
     if not r_list or not n_list:
         raise ValueError("candidate lists must be nonempty")
     form = assemble_form(field, delta)
-    hd = form.cell_volume
+    hd = field.grid.h**field.grid.dim
     best = None
     for r in sorted(r_list):
         for n in sorted(n_list, reverse=True):
@@ -352,7 +341,7 @@ def capacity_relaxed(
     if not collar.any():
         raise EmptyRegion("no in-domain cell lies inside the collar")
     form = assemble_form(field, delta)
-    hd = form.cell_volume
+    hd = grid.h**grid.dim
     free = mask_flat & ~collar
     n_collar = int(collar.sum())
 

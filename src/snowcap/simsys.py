@@ -155,10 +155,9 @@ class BoundaryGeometry:
 
     primitives: segments with shape (n, 2, 2) when kind == "segments",
     axis-aligned boxes with shape (n, 2, d) holding [lo, hi] rows otherwise.
-    domain_rule selects how the domain is carved out of the ambient space:
-    "interior" (inside the closed polygon formed by the segments) or
-    "complement" (outside every box). `system` is the generating similarity
-    system when the geometry came from one, else None.
+    The kind fixes how the domain is carved out of the ambient space (see
+    `domain_rule`). `system` is the generating similarity system when the
+    geometry came from one, else None.
     """
 
     dim: int
@@ -166,7 +165,6 @@ class BoundaryGeometry:
     primitives: np.ndarray
     depth: int
     approx_error: float
-    domain_rule: str
     system: SimilaritySystem | None = None
 
     def __post_init__(self):
@@ -179,17 +177,17 @@ class BoundaryGeometry:
             raise ValueError("boxes must have shape (n, 2, d)")
         if not len(p):
             raise ValueError("need at least one primitive")
-        if self.domain_rule not in ("interior", "complement"):
-            raise ValueError(f"unknown domain rule {self.domain_rule!r}")
-        if self.domain_rule == "interior" and self.kind != "segments":
-            raise ValueError("interior domains require a segment polygon")
-        if self.domain_rule == "complement" and self.kind != "boxes":
-            raise ValueError("complement domains require boxes")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.system is not None and self.system.dim != self.dim:
             raise ValueError("system dimension does not match geometry dimension")
         object.__setattr__(self, "primitives", p)
+
+    @property
+    def domain_rule(self) -> str:
+        """The domain the kind bounds: "interior" (inside the closed polygon
+        of the segments) or "complement" (outside every box)."""
+        return "interior" if self.kind == "segments" else "complement"
 
     @property
     def diameter(self) -> float:
@@ -278,7 +276,7 @@ class Family:
     in (0, lam_max] (open when lam_max_open); depth_caps maps each supported
     dimension to a depth guardrail on the primitive count (raising it changes
     no result); primitives(system, depth) realizes the base set, whose kind
-    and domain_rule the geometry carries."""
+    the geometry carries."""
 
     name: str
     maps: Callable
@@ -287,7 +285,6 @@ class Family:
     depth_caps: dict
     primitives: Callable
     kind: str
-    domain_rule: str
 
     def system(self, lam: float, dim: int) -> SimilaritySystem:
         if dim not in self.depth_caps:
@@ -313,7 +310,7 @@ class Family:
             raise ValueError("depth must be >= 0")
         return BoundaryGeometry(
             dim, self.kind, self.primitives(system, depth), depth,
-            self.approx_error(system, depth), self.domain_rule, system,
+            self.approx_error(system, depth), system,
         )
 
 
@@ -321,11 +318,11 @@ FAMILIES = {
     f.name: f
     for f in (
         Family("koch", _koch_maps, 1.0 / 3.0, False, {2: 10},
-               _koch_primitives, "segments", "interior"),
+               _koch_primitives, "segments"),
         Family("vicsek", _vicsek_maps, 0.5, True, {2: 9, 3: 6},
-               _cube_primitives, "boxes", "complement"),
+               _cube_primitives, "boxes"),
         Family("cantor-dust", _cube_corner_maps, 0.5, True, {1: 20, 2: 11, 3: 7},
-               _cube_primitives, "boxes", "complement"),
+               _cube_primitives, "boxes"),
     )
 }
 
@@ -412,10 +409,13 @@ def geometry_from_text(text: str) -> BoundaryGeometry:
     if family == "custom":
         if not np.isnan(lam):
             raise ValueError(f"custom geometries carry lambda=nan, got {lam!r}")
-        return BoundaryGeometry(dim, kind, prims, depth, 0.0, rule)
-    named = named_family(family)
-    if kind != named.kind:
-        raise ValueError(f"{family} geometries hold {named.kind}, not {kind}")
-    system = named.system(lam, dim)
-    err = named.approx_error(system, depth)
-    return BoundaryGeometry(dim, kind, prims, depth, err, rule, system)
+        geom = BoundaryGeometry(dim, kind, prims, depth, 0.0)
+    else:
+        named = named_family(family)
+        if kind != named.kind:
+            raise ValueError(f"{family} geometries hold {named.kind}, not {kind}")
+        system = named.system(lam, dim)
+        geom = BoundaryGeometry(dim, kind, prims, depth, named.approx_error(system, depth), system)
+    if rule != geom.domain_rule:
+        raise ValueError(f"{kind} take rule={geom.domain_rule}, not rule={rule}")
+    return geom

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomfield import DistanceField, Grid
+from .geomfield import DistanceField
 from .forms import SparseForm
 
 __all__ = ["WalkConfig", "WalkResult", "walk_absorption"]
@@ -96,26 +96,26 @@ class _Jumps:
     horizon: float
 
 
-def _jump_tables(form: SparseForm, grid: Grid, absorbing: np.ndarray, horizon: float) -> _Jumps:
-    """Tables over the flat grid cells; absorbing flags their collar cells.
+def _jump_tables(form: SparseForm, absorbing: np.ndarray, horizon: float) -> _Jumps:
+    """Tables over the flat cells of the form's grid; absorbing flags their
+    collar cells.
 
     Slot ax holds a cell's neighbour one step up axis ax and slot d + ax the
     one a step down. A missing neighbour keeps rate 0, which no pick reaches:
     the pick lies strictly below the total."""
+    grid = form.grid
     d = grid.dim
     strides = np.cumprod((grid.dims[1:] + (1,))[::-1])[::-1]
     ii, jj, ww = form.edges
-    step = jj - ii
-    # strides fall with the axis; a length-1 axis shares its predecessor's
-    # stride but has no edges, so a tie goes to the first axis
-    ax = np.minimum(np.searchsorted(-strides, -step), d - 1)
-    if np.any(strides[ax] != step):
-        raise ValueError("form and field live on different grids")
+    # each edge's axis from its index step: strides fall with the axis; a
+    # length-1 axis shares its predecessor's stride but has no edges, so a
+    # tie goes to the first axis
+    ax = np.minimum(np.searchsorted(-strides, -(jj - ii)), d - 1)
     nbr = np.zeros((grid.n_cells, 2 * d), dtype=np.int64)
     rates = np.zeros((grid.n_cells, 2 * d))
     nbr[ii, ax] = jj
     nbr[jj, d + ax] = ii
-    rates[ii, ax] = rates[jj, d + ax] = ww / form.cell_volume
+    rates[ii, ax] = rates[jj, d + ax] = ww / grid.h**d
     total = rates.sum(axis=1)
     clamped = total > _RATE_CAP
     capped = np.minimum(total, _RATE_CAP)
@@ -183,7 +183,8 @@ def _start_index(grid, cfg: WalkConfig) -> int:
 
 
 def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> WalkResult:
-    """Run cfg.trials absorbed walks; return the absorbed fraction.
+    """Run cfg.trials absorbed walks; return the absorbed fraction. The form
+    must be assembled on field's own grid object.
 
     Each holding time is exponential with the cell's total exit rate
     (clamped at 1e8; clamp occurrences are counted), and the jump target
@@ -198,14 +199,13 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
     many steps: the long tail of a few slow trajectories does not pay a
     hash pass at every step.
     """
-    grid = field.grid
-    start = _start_index(grid, cfg)
-    if form.n_cells != grid.n_cells:
+    if form.grid is not field.grid:
         raise ValueError("form and field live on different grids")
+    start = _start_index(field.grid, cfg)
     d_flat = field.values.ravel()
     if d_flat[start] < cfg.absorb_eps:
         raise ValueError("start cell lies inside the absorbing collar")
-    jumps = _jump_tables(form, grid, d_flat < cfg.absorb_eps, cfg.horizon)
+    jumps = _jump_tables(form, d_flat < cfg.absorb_eps, cfg.horizon)
 
     n = cfg.trials
     seed = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)

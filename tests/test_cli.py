@@ -231,6 +231,11 @@ REFUSED = {
     "walk-absorb-eps": ([*_WALK, "--absorb-eps", "1h"], "absorb_eps must span at least two cells"),
     "walk-start": (["walk", "--family", "koch", "--lambda", "0.25", "--resolution", "32",
                     "--delta", "0.0", "--start", "9,9"], "start cell must be inside the domain"),
+    "walk-start-outside": ([*_WALK, "--start", "0.5,9"], "start cell must be inside the domain"),
+    # inside the grid's box, outside the snowflake
+    "walk-start-domain": (["walk", "--family", "koch", "--lambda", "0.25", "--resolution", "32",
+                           "--delta", "0.0", "--start", "0.05,-0.2"],
+                          "start cell must be inside the domain"),
     "hardy-r-0": ([*_HARDY, "--r", "0"], "no in-domain cell within 0.0 of z", "empty-domain"),
     "hardy-max-outer": ([*_HARDY, "--r", "12h", "--max-outer", "-1"], "max_outer must be >= 0"),
     "hardy-tol-0": ([*_HARDY, "--r", "12h", "--tol", "0"], _TOL),
@@ -251,6 +256,8 @@ REFUSED = {
                             "collar width eps must be at least two cells"),
     "sweep-deltas": ([*_SWEEP4, "--deltas=-0.5:2.5:2"], _DELTA),
     "sweep-cg-tol": ([*_SWEEP4, "--cg-tol", "0"], _CG_TOL),
+    "sweep-lambdas": ([*_SWEEP4, "--lambdas", "0.15:0.6:4"],
+                      "cantor-dust requires lambda in (0, 0.5)"),
 }
 
 

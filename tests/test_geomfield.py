@@ -35,11 +35,11 @@ def square_polygon(side=1.0):
             [[0.0, c], [0.0, 0.0]],
         ]
     )
-    return BoundaryGeometry(2, "segments", segs, 0, 0.0, "interior")
+    return BoundaryGeometry(2, "segments", segs, 0, 0.0)
 
 
 def segment_geometry(segs):
-    return BoundaryGeometry(2, "segments", np.asarray(segs, float), 0, 0.0, "interior")
+    return BoundaryGeometry(2, "segments", np.asarray(segs, float), 0, 0.0)
 
 
 def koch_area(lam_depth):
@@ -127,7 +127,7 @@ def test_box_union_mask_matches_per_box_loop(dim, depth, res):
 def test_empty_domain():
     # one box covering the whole gridded region leaves nothing outside
     box = np.array([[[-1.0, -1.0], [2.0, 2.0]]])
-    geom = BoundaryGeometry(2, "boxes", box, 0, 0.0, "complement")
+    geom = BoundaryGeometry(2, "boxes", box, 0, 0.0)
     with pytest.raises(EmptyDomain):
         build_grid(geom, 8)
 
@@ -146,7 +146,7 @@ def test_distance_single_segment():
 
 def test_distance_unit_box_interior():
     box = np.array([[[0.0, 0.0], [1.0, 1.0]]])
-    geom = BoundaryGeometry(2, "boxes", box, 0, 0.0, "complement")
+    geom = BoundaryGeometry(2, "boxes", box, 0, 0.0)
     grid = Grid(np.zeros(2), 1 / 3, (3, 3), np.ones((3, 3), bool))
     df = distance_field(geom, grid)
     assert abs(df.values[1, 1] - 0.5) < 1e-15  # box center to the nearest face
@@ -310,7 +310,7 @@ def _disk_polygon(n=96):
     th = np.linspace(0.0, 2 * np.pi, n + 1)
     pts = np.stack([np.cos(th), np.sin(th)], 1)
     segs = np.stack([pts[:-1], pts[1:]], axis=1)
-    return BoundaryGeometry(2, "segments", segs, 0, 0.0, "interior")
+    return BoundaryGeometry(2, "segments", segs, 0, 0.0)
 
 
 def test_uniformity_disk():
@@ -345,7 +345,7 @@ def test_uniformity_disconnected():
     segs = np.concatenate(
         [square_polygon().primitives, square_polygon().primitives + np.array([2.0, 0.0])]
     )
-    geom = BoundaryGeometry(2, "segments", segs, 0, 0.0, "interior")
+    geom = BoundaryGeometry(2, "segments", segs, 0, 0.0)
     grid = build_grid(geom, 32)
     df = distance_field(geom, grid)
     with pytest.raises(Disconnected):

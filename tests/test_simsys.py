@@ -244,9 +244,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         vicsek(0.3, 4, 1)
     with pytest.raises(ValueError, match="at least one primitive"):
-        BoundaryGeometry(2, "segments", np.zeros((0, 2, 2)), 0, 0.0, "interior")
-    with pytest.raises(ValueError, match="complement domains require boxes"):
-        BoundaryGeometry(2, "segments", np.zeros((1, 2, 2)), 0, 0.0, "complement")
+        BoundaryGeometry(2, "segments", np.zeros((0, 2, 2)), 0, 0.0)
 
 
 # --- text exchange format ----------------------------------------------------
@@ -280,7 +278,7 @@ def test_geometry_text_roundtrip_custom():
             [[0.0, 1.0], [0.0, 0.0]],
         ]
     )
-    geom = BoundaryGeometry(2, "segments", square, 0, 0.0, "interior")
+    geom = BoundaryGeometry(2, "segments", square, 0, 0.0)
     text = geometry_to_text(geom)
     back = geometry_from_text(text)
     assert back.system is None

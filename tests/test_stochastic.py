@@ -121,13 +121,16 @@ def test_grid_mismatch_raises(line64, dust128):
     cfg = WalkConfig((16, 16), 0.3, 10, 1, 4 * dust128.grid.h)
     with pytest.raises(ValueError, match="different grids"):
         walk_absorption(form, dust128, cfg)
-    # as many cells as the 128 x 128 field, but rows of 256: the form's
-    # row steps match no stride of the field's grid
+    # as many cells as the 128 x 128 field, but rows of 256
     dims = (64, 256)
     wide = DistanceField(Grid((0.0, 0.0), 1.0 / 256, dims, np.ones(dims, dtype=bool)),
                          np.ones(dims), 0.0, 1.0)
     with pytest.raises(ValueError, match="different grids"):
         walk_absorption(assemble_form(wide, 0.0), dust128, cfg)
+    # a line of as many cells, whose every edge step is a stride of the
+    # field's grid and whose cell volume equals the field's
+    with pytest.raises(ValueError, match="different grids"):
+        walk_absorption(assemble_form(line_field(128 * 128), 0.0), dust128, cfg)
 
 
 def test_line_layouts_agree():
@@ -201,8 +204,8 @@ def _exact_absorption(form, field, start, horizon, eps):
     """P(start reaches the collar by `horizon`): expm(T Q) 1_collar at start,
     Q the walk's generator with the collar cells made absorbing."""
     ii, jj, ww = form.edges
-    n = form.n_cells
-    r = ww / form.cell_volume
+    n = form.grid.n_cells
+    r = ww / form.grid.h**form.grid.dim
     q = coo_matrix((np.r_[r, r], (np.r_[ii, jj], np.r_[jj, ii])), shape=(n, n)).tocsr()
     q = q - diags(np.asarray(q.sum(axis=1)).ravel())
     collar = field.values.ravel() < eps
