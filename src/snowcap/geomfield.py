@@ -7,7 +7,9 @@ A branch-and-bound over blocks of cells and ranges of primitives drops a
 range only when its box lies farther from a block than some boundary point
 does, plus a rounding margin, so the surviving primitives always include each
 cell's nearest one and the only geometric error left is the finite
-realization depth itself.
+realization depth itself. The bounds are sums of per-axis terms, each taken
+once per axis and offset bit rather than once per child block, and the exact
+kernels take per-axis coordinate columns.
 """
 
 from __future__ import annotations
@@ -86,13 +88,16 @@ class DistanceField:
 
     depth_error bounds the Hausdorff gap between the realized and the ideal
     boundary, so |d_ideal - values| <= depth_error cellwise. diameter is the
-    boundary's bounding-box diagonal.
+    boundary's bounding-box diagonal. search summarizes the branch-and-bound
+    of `distance_field`: (block, range) pairs bounded, pairs kept and exact
+    point-to-primitive evaluations; None for a field built otherwise.
     """
 
     grid: Grid
     values: np.ndarray
     depth_error: float
     diameter: float
+    search: dict | None = None
 
     def __post_init__(self):
         if self.values.shape != self.grid.dims:
@@ -196,24 +201,29 @@ def build_grid(geometry: BoundaryGeometry, resolution: int, margin: float = 0.0)
 # --- exact distances ---------------------------------------------------------
 
 
-def _segment_distance(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Exact point-to-segment distances, pts (m, 2) against segs (m, 2, 2)."""
-    a, b = segs[:, 0], segs[:, 1]
-    e = b - a
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.einsum("ij,ij->i", pts - a, e) / np.where(ee > 0, ee, 1.0)
-    t = np.clip(np.where(ee > 0, t, 0.0), 0.0, 1.0)
-    closest = a + t[:, None] * e
-    return np.linalg.norm(pts - closest, axis=1)
+def _segment_distance(p: list, a: list, b: list) -> np.ndarray:
+    """Exact distances from points p to the segments from a to b, each given
+    as its two coordinate columns."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    ex, ey = bx - ax, by - ay
+    ee = ex * ex + ey * ey
+    # a zero-length segment has e = 0, so t = 0 and its foot is a
+    t = ((px - ax) * ex + (py - ay) * ey) / np.where(ee > 0, ee, 1.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    dx, dy = px - (ax + t * ex), py - (ay + t * ey)
+    return np.sqrt(dx * dx + dy * dy)
 
 
-def _box_boundary_distance(pts: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Exact point-to-box-boundary distances, pts (m, d) vs boxes (m, 2, d)."""
-    lo, hi = boxes[:, 0], boxes[:, 1]
-    g = np.maximum(lo - pts, pts - hi)  # per-axis signed gap
-    outside = np.linalg.norm(np.maximum(g, 0.0), axis=1)
-    inside = -g.max(axis=1)  # distance to the nearest face when interior
-    return np.where((g > 0).any(axis=1), outside, inside)
+def _box_boundary_distance(p: list, lo: list, hi: list) -> np.ndarray:
+    """Exact distances from points p to the boundaries of the boxes [lo, hi],
+    each given as its d coordinate columns."""
+    g = [np.maximum(l - x, x - u) for x, l, u in zip(p, lo, hi)]  # per-axis signed gap
+    gmax, out2 = g[0], np.maximum(g[0], 0.0) ** 2
+    for ga in g[1:]:
+        gmax = np.maximum(gmax, ga)
+        out2 += np.maximum(ga, 0.0) ** 2
+    # outside: distance to the box; inside: to its nearest face
+    return np.where(gmax > 0, np.sqrt(out2), -gmax)
 
 
 # most (cell block, primitive range) pairs one step produces; bounds peak memory
@@ -234,7 +244,7 @@ def _range_levels(geometry: BoundaryGeometry):
     """
     prims = geometry.primitives
     if geometry.kind == "segments":
-        lo, hi = prims.min(axis=1), prims.max(axis=1)
+        lo, hi = np.minimum(prims[:, 0], prims[:, 1]), np.maximum(prims[:, 0], prims[:, 1])
     else:
         lo, hi = prims[:, 0], prims[:, 1]
     point = prims[:, 0]
@@ -250,6 +260,49 @@ def _range_levels(geometry: BoundaryGeometry):
         mid = np.minimum(starts + fan // 2, len(lo) - 1)
         lo, hi = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
         point = point[mid]
+
+
+def _survivors(blocks, ranges, slack, lev, lev2, blk, kid):
+    """The pruning test for the children of a batch of (block, range) pairs:
+    a mask over (offset, pair, kid), the order in which children are pushed,
+    and the flat index of each (offset, pair)'s child block.
+
+    blocks holds per level the block counts and the per-axis lo and hi of the
+    blocks' boxes of cell centres; ranges holds the child level's per-axis
+    (lo, hi, point) range columns. The blocks blk are refined to level lev2;
+    kid holds the child ranges by (kid, pair), so that arrays broadcast along
+    the long pair axis. Pairs arrive grouped by block: for one offset the
+    children of a group share one child block and one upper bound. Along axis
+    ax a child block depends only on bit ax of its offset, so its squared gap
+    (lower bound), squared far distance (upper bound) and index are taken
+    once per bit and broadcast over the 2^d offsets, summed in axis order.
+    """
+    n_blocks, block_lo, block_hi = blocks
+    coords = np.unravel_index(blk, n_blocks[lev])
+    d, bits, shape = len(coords), 2 if lev2 < lev else 1, kid.shape
+    lb2, ub2 = np.zeros((2,) + (bits,) * d + shape)
+    child = 0
+    for ax in range(d):
+        cc = coords[ax] * bits + np.arange(bits)[:, None]
+        lo, hi = block_lo[lev2][ax][cc][:, None], block_hi[lev2][ax][cc][:, None]
+        rlo, rhi, rpt = (a[ax][kid] for a in ranges)
+        gap = np.maximum(np.maximum(rlo - hi, lo - rhi), 0.0)
+        if lev2:
+            far = np.maximum(np.abs(rpt - lo), np.abs(rpt - hi))
+        else:  # a single cell: its box is its centre
+            far = rpt - lo
+        at = [bits if k == ax else 1 for k in range(d)]
+        lb2 += (gap * gap).reshape(at + list(shape))
+        ub2 += (far * far).reshape(at + list(shape))
+        child = child * n_blocks[lev2][ax] + cc.reshape(at + [len(blk)])
+    lb2, ub = lb2.reshape((-1,) + shape), ub2.reshape((-1,) + shape).min(axis=1)
+    change = blk[1:] != blk[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    group = np.concatenate(([0], np.cumsum(change)))
+    bound = np.sqrt(np.minimum.reduceat(ub, starts, axis=1)) + slack
+    keep = np.empty((len(lb2), shape[1], shape[0]), bool)
+    np.less_equal(lb2, (bound * bound)[:, None, group], out=keep.transpose(0, 2, 1))
+    return keep, child.reshape(-1)
 
 
 def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
@@ -268,7 +321,9 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
     primitives that survive, the exact point-to-segment or
     point-to-box-boundary distance is evaluated and the minimum kept, which
     is the minimum over all primitives. Pairs are expanded depth first in
-    batches of bounded size.
+    batches of bounded size; `_survivors` bounds all children of a batch at
+    once. The result's `search` counts the pairs bounded and kept and the
+    exact evaluations.
     """
     prims = geometry.primitives
     exact = _segment_distance if geometry.kind == "segments" else _box_boundary_distance
@@ -291,21 +346,23 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
         float(np.median(np.sqrt(sum((hi[ax][:-1] - lo[ax][:-1]) ** 2 for ax in range(d)))))
         for lo, hi, _ in ranges
     ]
-    # rounding margin on the bounds, relative to the largest coordinate in play
-    extent = max(np.abs(geometry.bounds()).max(), np.abs(grid.origin).max() + dims.max() * h)
+    # rounding margin on the bounds, relative to the largest coordinate in
+    # play; the top range's box is the boundary's bounding box
+    reach = max(abs(a[ax][0]) for a in ranges[-1][:2] for ax in range(d))
+    extent = max(reach, np.abs(grid.origin).max() + dims.max() * h)
     slack = 1e-12 * max(1.0, float(extent))
-    offsets = np.stack(np.meshgrid(*([[0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    blocks = (n_blocks, block_lo, block_hi)
 
     values = np.full(grid.n_cells, np.inf)
+    n_bound = n_kept = n_exact = 0
     stack = [(top, len(ranges) - 1, np.zeros(1, np.int64), np.zeros(1, np.int64))]
     while stack:
         lev, m, blk, rng = stack.pop()
         # refine the coarser side, or both when their sizes are within 2x
         split_cells = lev > 0 and (m == 0 or block_diam[lev] >= 0.5 * range_diam[m])
         split_prims = m > 0 and (lev == 0 or range_diam[m] >= 0.5 * block_diam[lev])
-        kids_k = offsets if split_cells else offsets[:1]
         kids_j = fan if split_prims else 1
-        cap = max(1, _BATCH // (len(kids_k) * kids_j))
+        cap = max(1, _BATCH // ((1 + split_cells) ** d * kids_j))
         if len(blk) > cap:
             for s in range(0, len(blk), cap):
                 stack.append((lev, m, blk[s : s + cap], rng[s : s + cap]))
@@ -313,51 +370,27 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
         lev2, m2 = lev - split_cells, m - split_prims
         leaf = lev2 == 0 and m2 == 0
 
-        # parents arrive grouped by block, so for one offset the children of a
-        # group share one child block and one upper bound
-        change = blk[1:] != blk[:-1]
-        starts = np.flatnonzero(np.concatenate(([True], change)))
-        group = np.concatenate(([0], np.cumsum(change)))
-        kid = rng[:, None] * kids_j + np.arange(kids_j)
-        kid = np.minimum(kid, len(ranges[m2][0][0]) - 1)  # past the end: the inf pad
-        rlo, rhi, rpt = ([a[ax][kid] for ax in range(d)] for a in ranges[m2])
-        coords = np.unravel_index(blk, n_blocks[lev])
-        scale = 2 if split_cells else 1
-        out_blk, out_rng = [], []
-        for off in kids_k:
-            cc = [coords[ax] * scale + off[ax] for ax in range(d)]
-            lb2 = np.zeros(kid.shape)
-            ub2 = np.zeros(kid.shape)
-            for ax in range(d):
-                lo = block_lo[lev2][ax][cc[ax]][:, None]
-                hi = block_hi[lev2][ax][cc[ax]][:, None]
-                gap = np.maximum(np.maximum(rlo[ax] - hi, lo - rhi[ax]), 0.0)
-                lb2 += gap * gap
-                far = np.maximum(np.abs(rpt[ax] - lo), np.abs(rpt[ax] - hi))
-                ub2 += far * far
-            # column by column: a reduction over the short kid axis is slow
-            ub = ub2[:, 0]
-            for j in range(1, kids_j):
-                ub = np.minimum(ub, ub2[:, j])
-            bound = np.sqrt(np.minimum.reduceat(ub, starts))[group] + slack
-            pi, pj = np.nonzero(lb2 <= (bound * bound)[:, None])
-            child = np.ravel_multi_index([c[pi] for c in cc], n_blocks[lev2])
-            if leaf:
-                pts = np.stack([centers[ax][cc[ax][pi]] for ax in range(d)], axis=1)
-                np.minimum.at(values, child, exact(pts, prims[kid[pi, pj]]))
-            else:
-                out_blk.append(child)
-                out_rng.append(kid[pi, pj])
-        if not leaf:
-            blk2, rng2 = np.concatenate(out_blk), np.concatenate(out_rng)
-            if len(blk2):
-                stack.append((lev2, m2, blk2, rng2))
+        # child ranges by kid, then pair; past the end of a level: the inf pad
+        kid = np.minimum(rng * kids_j + np.arange(kids_j)[:, None], len(ranges[m2][0][0]) - 1)
+        keep, child = _survivors(blocks, ranges[m2], slack, lev, lev2, blk, kid)
+        hit = np.flatnonzero(keep)
+        q = hit // kids_j  # offset * pairs + pair
+        child, kept = child[q], kid[hit - q * kids_j, q % len(blk)]
+        n_bound, n_kept = n_bound + keep.size, n_kept + len(kept)
+        if leaf:
+            pts = [centers[ax][i] for ax, i in enumerate(np.unravel_index(child, grid.dims))]
+            ends = [[prims[kept, end, ax] for ax in range(d)] for end in (0, 1)]
+            np.minimum.at(values, child, exact(pts, *ends))
+            n_exact += len(kept)
+        elif len(kept):
+            stack.append((lev2, m2, child, kept))
 
     return DistanceField(
         grid=grid,
         values=values.reshape(grid.dims),
         depth_error=geometry.approx_error,
         diameter=geometry.diameter,
+        search={"bound_pairs": n_bound, "kept_pairs": n_kept, "exact": n_exact},
     )
 
 
