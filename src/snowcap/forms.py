@@ -2,15 +2,18 @@
 
 The discrete energy is h(phi) = sum over axis-neighbor pairs of in-domain
 cells of h^(d-2) * mean(c_i, c_j) * (phi_i - phi_j)^2 with cell weights
-c = clamp(d_Gamma)^delta vanishing at the boundary. On top of it sit the
-two capacity estimates (explicit log-profile test functions and the relaxed
-collar-constrained minimization), the local Hardy quotient as a generalized
-eigenvalue problem, and the tau-regularized collar integral whose blow-up
-rate separates the degeneracy regimes. The capacity and Hardy systems share
-one smoothed-aggregation multigrid hierarchy: the capacity solve is
-conjugate gradients preconditioned by its V-cycle, the Hardy quotient
-LOBPCG with the same V-cycle as preconditioner, stopped on the squared
-relative eigen-residual.
+c = clamp(d_Gamma)^delta vanishing at the boundary. A form stores these
+weights as one grid-shaped array per axis, one weight per cell face, and
+the capacity and Hardy matrices are written row by row from the faces
+between their unknowns. On top of the form sit the two capacity estimates
+(explicit log-profile test functions and the relaxed collar-constrained
+minimization), the local Hardy quotient as a generalized eigenvalue
+problem, and the tau-regularized collar integral whose blow-up rate
+separates the degeneracy regimes. The capacity and Hardy systems share one
+smoothed-aggregation multigrid hierarchy: the capacity solve is conjugate
+gradients preconditioned by its V-cycle, the Hardy quotient LOBPCG with the
+same V-cycle as preconditioner, stopped on the squared relative
+eigen-residual.
 """
 
 from __future__ import annotations
@@ -57,86 +60,86 @@ def weight_field(field: DistanceField, delta: float) -> np.ndarray:
     return _clamped(field.values, field.grid.h) ** delta
 
 
+def _pairs(mask: np.ndarray):
+    """Per axis ax: the index of the cells k with a neighbour k + e_ax, that
+    of those neighbours, and where both lie in the grid-shaped mask."""
+    for ax in range(mask.ndim):
+        lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(mask.ndim))
+        hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(mask.ndim))
+        yield lo, hi, mask[lo] & mask[hi]
+
+
 @dataclass(frozen=True)
 class SparseForm:
-    """Symmetric nonnegative quadratic form over flat grid indices.
-
-    edges holds each unordered in-domain neighbor pair once as parallel
-    arrays (i, j, w); grid is the grid the form was assembled on.
+    """Symmetric nonnegative quadratic form on a grid's nearest-neighbour
+    stencil. faces[ax] is grid-shaped: at cell k, the weight of the face
+    between k and k + e_ax, 0 on the last layer along ax and where either
+    side is outside the domain. grid is the grid the form was assembled on.
     """
 
-    edges: tuple
+    faces: tuple
     grid: Grid
 
     def energy(self, phi: np.ndarray) -> float:
-        """h(phi) for a grid function (flat or grid-shaped)."""
-        ii, jj, ww = self.edges
-        p = np.asarray(phi, dtype=float).ravel()
-        diff = p[ii] - p[jj]
-        return float(np.dot(ww, diff * diff))
-
-    def matrix(self) -> csr_matrix:
-        """Graph Laplacian L with phi^T L phi = h(phi), on flat indices."""
-        return _spd_matrix(self.edges, np.zeros(self.grid.n_cells))
-
-    def restrict(self, keep: np.ndarray):
-        """Restrict the form to the cells of a flat boolean mask.
-
-        Returns the kept flat indices, the internal edges (i, j, w) in
-        positions of that index list, and for each kept cell the total
-        weight of its edges to domain cells outside the mask.
-        """
-        ii, jj, ww = self.edges
-        idx = np.flatnonzero(keep)
-        pos = -np.ones(self.grid.n_cells, dtype=np.int64)
-        pos[idx] = np.arange(len(idx))
-        ki, kj = keep[ii], keep[jj]
-        both = ki & kj
-        cross = np.zeros(len(idx))
-        np.add.at(cross, pos[ii[ki & ~kj]], ww[ki & ~kj])
-        np.add.at(cross, pos[jj[kj & ~ki]], ww[kj & ~ki])
-        return idx, (pos[ii[both]], pos[jj[both]], ww[both]), cross
+        """h(phi) for a grid function (flat or grid-shaped), summed over the
+        faces between domain cells by axis, then in flat order."""
+        p = np.asarray(phi, dtype=float).reshape(self.grid.dims)
+        weights, squares = [], []
+        for f, (lo, hi, on) in zip(self.faces, _pairs(self.grid.omega_mask)):
+            weights.append(f[lo][on])
+            squares.append((p[lo][on] - p[hi][on]) ** 2)
+        return float(np.dot(np.concatenate(weights), np.concatenate(squares)))
 
 
-def _axis_neighbor_pairs(mask: np.ndarray):
-    """Flat index pairs (i, j) of adjacent in-domain cells along each axis."""
-    dims = mask.shape
-    flat = np.arange(mask.size).reshape(dims)
-    out_i, out_j = [], []
-    for ax in range(mask.ndim):
-        lo = [slice(None)] * mask.ndim
-        hi = [slice(None)] * mask.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        both = mask[tuple(lo)] & mask[tuple(hi)]
-        out_i.append(flat[tuple(lo)][both])
-        out_j.append(flat[tuple(hi)][both])
-    return np.concatenate(out_i), np.concatenate(out_j)
+def _faces(c: np.ndarray, mask: np.ndarray, h: float) -> tuple:
+    """Face weights h^(d-2) * (c_k + c_{k+e_ax}) / 2 of the grid-shaped cell
+    weights c, per axis, 0 where either side is outside mask."""
+    faces = tuple(np.zeros(c.shape) for _ in range(c.ndim))
+    for f, (lo, hi, both) in zip(faces, _pairs(mask)):
+        f[lo] = np.where(both, h ** (c.ndim - 2) * 0.5 * (c[lo] + c[hi]), 0.0)
+    return faces
 
 
 def assemble_form(field: DistanceField, delta: float) -> SparseForm:
-    """Second-order form with degenerate weights on the domain cells.
-
-    Edge weight between in-domain axis neighbors is h^(d-2) * (c_i + c_j)/2.
+    """Second-order form with degenerate weights on the domain cells: the
+    face between in-domain axis neighbours i and j weighs h^(d-2) (c_i + c_j)/2.
     """
     grid = field.grid
-    c = weight_field(field, delta).ravel()
-    ii, jj = _axis_neighbor_pairs(grid.omega_mask)
-    ww = grid.h ** (grid.dim - 2) * 0.5 * (c[ii] + c[jj])
-    return SparseForm((ii, jj, ww), grid)
+    return SparseForm(_faces(weight_field(field, delta), grid.omega_mask, grid.h), grid)
 
 
-def _spd_matrix(edges, diag: np.ndarray) -> csr_matrix:
-    """Laplacian of the internal edges plus a per-cell diagonal term."""
-    ei, ej, ew = edges
-    m = len(diag)
-    full = diag.copy()
-    np.add.at(full, ei, ew)
-    np.add.at(full, ej, ew)
-    rows = np.concatenate([ei, ej, np.arange(m)])
-    cols = np.concatenate([ej, ei, np.arange(m)])
-    vals = np.concatenate([-ew, -ew, full])
-    return csr_matrix((vals, (rows, cols)), shape=(m, m))
+def _restrict(faces, keep: np.ndarray, term):
+    """The form of the faces plus a per-cell term on the cells of the
+    grid-shaped mask keep, unknown k the k-th kept cell in flat order, and
+    per kept cell the weight of its faces to the other cells.
+
+    Both add up-faces by axis, then down-faces by axis: the diagonal is the
+    term plus the outer faces, then plus the faces to kept cells. Each CSR
+    row is written in column order: down axes 0..d-1, diagonal, up d-1..0.
+    """
+    d = keep.ndim
+    outer = np.zeros(keep.shape)
+    for up in (True, False):
+        for f, (lo, hi, _) in zip(faces, _pairs(keep)):
+            near, far = (lo, hi) if up else (hi, lo)
+            outer[near] += f[lo] * ~keep[far]
+    outer = outer[keep]
+    m = len(outer)
+    index = np.int32 if (2 * d + 1) * m <= np.iinfo(np.int32).max else np.int64
+    rank = np.cumsum(keep, dtype=index).reshape(keep.shape) - 1
+    # row slots in column order, the diagonal in slot d; column -1: no neighbour
+    cols, vals = np.full((m, 2 * d + 1), -1, dtype=index), np.zeros((m, 2 * d + 1))
+    for ax, (lo, hi, both) in enumerate(_pairs(keep)):
+        i, j = rank[lo][both], rank[hi][both]
+        cols[i, 2 * d - ax], cols[j, ax] = j, i
+        vals[i, 2 * d - ax] = vals[j, ax] = -faces[ax][lo][both]
+    full = term + outer
+    for slot in (*range(2 * d, d, -1), *range(d)):  # up-faces (2d - ax), down (ax)
+        full -= vals[:, slot]
+    cols[:, d], vals[:, d] = np.arange(m), full
+    has = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(has.sum(axis=1), dtype=index)])
+    return csr_matrix((vals[has], cols[has], indptr), shape=(m, m)), outer
 
 
 # smoothed aggregation: cells per aggregate along each axis (2 densifies the
@@ -336,38 +339,32 @@ def capacity_relaxed(
     grid = field.grid
     _check_capacity(grid.h, eps, cg_tol)
     d_a = _target_distances(field, a_mask)
-    mask_flat = grid.omega_mask.ravel()
-    collar = mask_flat & (d_a.ravel() < eps)
+    mask = grid.omega_mask
+    collar = mask & (d_a < eps)
     if not collar.any():
         raise EmptyRegion("no in-domain cell lies inside the collar")
     form = assemble_form(field, delta)
     hd = grid.h**grid.dim
-    free = mask_flat & ~collar
-    n_collar = int(collar.sum())
-
-    psi = np.zeros(grid.n_cells)
-    psi[collar] = 1.0
+    free = mask & ~collar
     if not free.any():
-        value = hd * n_collar
-        return CapacityResult(value, float(eps), 0, 0.0, 0, psi.reshape(grid.dims))
+        return CapacityResult(hd * int(collar.sum()), float(eps), 0, 0.0, 0, collar.astype(float))
 
-    # every edge leaving a free cell ends on the collar, where psi = 1
-    free_idx, edges, cross = form.restrict(free)
-    A, b = _spd_matrix(edges, hd + cross), cross
-    solve, levels = _spd_solver(A, np.column_stack(np.unravel_index(free_idx, grid.dims)))
-    guess = None
-    if x0 is not None:
-        guess = np.asarray(x0, dtype=float).ravel()[free_idx]
+    # a face from a free cell to another domain cell ends on the collar: psi = 1
+    A, b = _restrict(form.faces, free, hd)
+    solve, levels = _spd_solver(A, np.argwhere(free))
+    guess = None if x0 is None else np.asarray(x0, dtype=float).reshape(grid.dims)[free]
     sol, iters = solve(b, guess, cg_tol)
     resid = float(np.linalg.norm(A @ sol - b) / np.linalg.norm(b))
-    psi[free_idx] = sol
+    del A, solve  # the matrix and its hierarchy, before the energy's temporaries
+    psi = collar.astype(float)
+    psi[free] = sol
     if psi.min() < -1e-8 or psi.max() > 1.0 + 1e-8:
         raise SolverDiverged(
             f"minimizer leaves [0,1] ({psi.min():.3e}, {psi.max():.3e}): "
             "maximum principle violated, solution untrusted"
         )
-    value = form.energy(psi) + hd * float(np.sum(psi[mask_flat] ** 2))
-    return CapacityResult(value, float(eps), iters, resid, levels, psi.reshape(grid.dims))
+    value = form.energy(psi) + hd * float(np.sum(psi[mask] ** 2))
+    return CapacityResult(value, float(eps), iters, resid, levels, psi)
 
 
 # --- local Hardy quotient ---------------------------------------------------------
@@ -429,18 +426,18 @@ def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
     temporaries are freed before the solve."""
     grid = field.grid
     h, d = grid.h, grid.dim
-    ball = _ball(grid, z, r)
-    idx = np.flatnonzero(ball)
-    m = len(idx)
-    ii, jj = _axis_neighbor_pairs(ball.reshape(grid.dims))
-    ei, ej = np.searchsorted(idx, ii), np.searchsorted(idx, jj)
-    dist = _clamped(field.values.ravel()[idx], h)
+    region = _ball(grid, z, r).reshape(grid.dims)
+    # the ball within its bounding box, its cells in the same order
+    box = tuple(slice(k.min(), k.max() + 1) for k in np.nonzero(region))
+    ball, dist = region[box], _clamped(field.values[box], h)
     c = dist**delta
-    edges = (ei, ej, h ** (d - 2) * 0.5 * (c[ei] + c[ej]))
     # faces toward anything outside the support region get the closure weight
-    inside_faces = np.bincount(ei, minlength=m) + np.bincount(ej, minlength=m)
-    K = _spd_matrix(edges, (2.0 * d - inside_faces) * 2.0 * c * h ** (d - 2))
-    return idx, K, h**d * dist ** (delta - 2.0)
+    closed = np.full(ball.shape, 2.0 * d)
+    for lo, hi, both in _pairs(ball):
+        closed[lo] -= both
+        closed[hi] -= both
+    K, _ = _restrict(_faces(c, ball, h), ball, closed[ball] * 2.0 * c[ball] * h ** (d - 2))
+    return np.flatnonzero(region), K, h**d * dist[ball] ** (delta - 2.0)
 
 
 def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float,

@@ -147,10 +147,11 @@ def _polygon_mask(segs: np.ndarray, origin: np.ndarray, h: float, dims: tuple) -
     xcross = x1[eidx] + t * (x2[eidx] - x1[eidx])
     # first cell whose center sits right of the crossing
     p = np.floor((xcross - ox) / h + 0.5).astype(np.int64)
-    counts2d = np.zeros((ny, nx + 1), dtype=np.int64)
+    # crossings mod 256: the parity survives the wrap-around
+    counts2d = np.zeros((ny, nx + 1), dtype=np.uint8)
     np.add.at(counts2d, (rows, np.clip(p, 0, nx)), 1)
-    inside = (np.cumsum(counts2d[:, :nx], axis=1) % 2) == 1
-    return np.ascontiguousarray(inside.T)
+    inside = np.cumsum(counts2d[:, :nx], axis=1, dtype=np.uint8) & 1
+    return np.ascontiguousarray(inside.view(bool).T)
 
 
 def _box_union_mask(boxes: np.ndarray, origin: np.ndarray, h: float, dims: tuple) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geomfield import DistanceField
-from .forms import SparseForm
+from .forms import SparseForm, _pairs
 
 __all__ = ["WalkConfig", "WalkResult", "walk_absorption"]
 
@@ -88,7 +88,7 @@ class _Jumps:
     the horizon."""
 
     target: np.ndarray  # cell * 2d + slot -> neighbour cell, or -1 for a collar cell
-    cum_head: list  # cumulative edge rates of every slot but the last, per slot
+    cum_head: list  # cumulative jump rates of every slot but the last, per slot
     total: np.ndarray  # total exit rate: scales the pick
     divisor: np.ndarray  # clamped rate that divides the hold, 0 for a zero rate
     clamped: np.ndarray  # total above _RATE_CAP
@@ -105,17 +105,16 @@ def _jump_tables(form: SparseForm, absorbing: np.ndarray, horizon: float) -> _Ju
     the pick lies strictly below the total."""
     grid = form.grid
     d = grid.dim
-    strides = np.cumprod((grid.dims[1:] + (1,))[::-1])[::-1]
-    ii, jj, ww = form.edges
-    # each edge's axis from its index step: strides fall with the axis; a
-    # length-1 axis shares its predecessor's stride but has no edges, so a
-    # tie goes to the first axis
-    ax = np.minimum(np.searchsorted(-strides, -(jj - ii)), d - 1)
-    nbr = np.zeros((grid.n_cells, 2 * d), dtype=np.int64)
-    rates = np.zeros((grid.n_cells, 2 * d))
-    nbr[ii, ax] = jj
-    nbr[jj, d + ax] = ii
-    rates[ii, ax] = rates[jj, d + ax] = ww / grid.h**d
+    flat = np.arange(grid.n_cells).reshape(grid.dims)
+    nbr = np.zeros(grid.dims + (2 * d,), dtype=np.int64)
+    rates = np.zeros(grid.dims + (2 * d,))
+    for ax, (lo, hi, both) in enumerate(_pairs(grid.omega_mask)):
+        f = form.faces[ax]
+        nbr[lo + (ax,)] = np.where(both, flat[hi], 0)
+        nbr[hi + (d + ax,)] = np.where(both, flat[lo], 0)
+        rates[..., ax] = f / grid.h**d
+        rates[hi + (d + ax,)] = f[lo] / grid.h**d
+    rates = rates.reshape(grid.n_cells, 2 * d)
     total = rates.sum(axis=1)
     clamped = total > _RATE_CAP
     capped = np.minimum(total, _RATE_CAP)
@@ -188,7 +187,7 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
 
     Each holding time is exponential with the cell's total exit rate
     (clamped at 1e8; clamp occurrences are counted), and the jump target
-    is drawn proportionally to the edge rates. Trials advance in lockstep,
+    is drawn proportionally to the face rates. Trials advance in lockstep,
     but the k-th draw of trial t depends only on (seed, t, k): results are
     reproducible bit-for-bit, partial runs merge by summing hits, and
     trajectories stay coupled pathwise when only the horizon or the collar

@@ -1,9 +1,12 @@
 """Tests for the weighted quadratic form, capacity estimates, Hardy
 quotients, and collar integrals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 from scipy.special import iv, ivp, kv, kvp
 
@@ -24,10 +27,10 @@ from snowcap import (
     collar_integral,
 )
 from snowcap.forms import (
-    _axis_neighbor_pairs,
+    _faces,
     _hardy_pencil,
     _hardy_solve,
-    _spd_matrix,
+    _restrict,
     _spd_solver,
 )
 
@@ -101,12 +104,13 @@ def test_single_edge_unit_contribution():
 
 def test_energy_matrix_consistency(koch128):
     form = assemble_form(koch128, 1.5)
-    L = form.matrix()
+    mask = koch128.grid.omega_mask
+    L, _ = _restrict(form.faces, mask, 0.0)
     rng = np.random.default_rng(7)
     for _ in range(5):
         phi = rng.standard_normal(koch128.grid.dims)
-        flat = phi.ravel() * koch128.grid.omega_mask.ravel()
-        quad = float(flat @ (L @ flat))
+        inside = phi[mask]
+        quad = float(inside @ (L @ inside))
         assert abs(quad - form.energy(phi)) <= 1e-10 * max(quad, 1.0)
 
 
@@ -288,17 +292,30 @@ def test_capacity_line_matches_closed_form(delta):
         assert 3.5 <= coarse / fine <= 4.5
 
 
+def test_capacity_assembly_memory_is_bounded():
+    # koch13 at 512 (444 x 512 cells): the form's faces and the free cells'
+    # CSR hold 12 MB and the assembly peaks at 24 MB; the bound fails edge
+    # lists at 24 bytes per edge, restricted and sent through COO (43 MB)
+    geom = koch_snowflake(1 / 3, 6)
+    field = distance_field(geom, build_grid(geom, 512))
+    tracemalloc.start()
+    try:
+        form = assemble_form(field, 1.0)
+        free = field.grid.omega_mask & ~(field.values < 0.01)
+        A, _ = _restrict(form.faces, free, field.grid.h**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (int(free.sum()),) * 2
+    assert peak < 30e6
+
+
 def _grid_system(mask, delta=0.0):
-    # weighted grid Laplacian on the cells of mask (edge weights h^(d-2)
+    # weighted grid Laplacian on the cells of mask (face weights h^(d-2)
     # times the mean of x_0^delta) plus the mass diagonal h^d
     h, d = 1.0 / mask.shape[0], mask.ndim
-    keep = np.flatnonzero(mask)
-    ii, jj = _axis_neighbor_pairs(mask)
-    x0 = (np.unravel_index(np.arange(mask.size), mask.shape)[0] + 0.5) * h
-    ww = h ** (d - 2) * 0.5 * (x0[ii] ** delta + x0[jj] ** delta)
-    edges = (np.searchsorted(keep, ii), np.searchsorted(keep, jj), ww)
-    A = _spd_matrix(edges, np.full(len(keep), h**d))
-    return A, np.column_stack(np.unravel_index(keep, mask.shape))
+    x0 = (np.indices(mask.shape)[0] + 0.5) * h
+    return _restrict(_faces(x0**delta, mask, h), mask, h**d)[0], np.argwhere(mask)
 
 
 _CUT = np.ones((120, 120), dtype=bool)
@@ -333,6 +350,94 @@ def test_spd_solver_small_system_is_one_direct_level():
     x, iters = solve(b, None, 1e-12)
     assert levels == 1 and iters == 1
     assert np.linalg.norm(x - spsolve(A.tocsc(), b)) <= 1e-12 * np.linalg.norm(x)
+
+
+def _coo_laplacian(faces, keep, diag):
+    # the Laplacian of the faces between kept cells plus diag, cell by cell:
+    # each kept cell's diagonal adds its up-faces by axis, then its
+    # down-faces by axis, to diag; then COO to CSR with sorted columns
+    cells = list(zip(*np.nonzero(keep)))
+    pos = {cell: k for k, cell in enumerate(cells)}
+    rows, cols, vals = [], [], []
+    full = diag.copy()
+    for k, cell in enumerate(cells):
+        for step in (1, -1):
+            for ax in range(keep.ndim):
+                nb = cell[:ax] + (cell[ax] + step,) + cell[ax + 1:]
+                if nb in pos:
+                    w = faces[ax][cell if step == 1 else nb]
+                    full[k] += w
+                    rows.append(k)
+                    cols.append(pos[nb])
+                    vals.append(-w)
+    m = len(cells)
+    rows, cols, vals = rows + list(range(m)), cols + list(range(m)), vals + list(full)
+    ref = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    ref.sort_indices()
+    return ref
+
+
+def _outer_faces(faces, keep):
+    # per kept cell: its faces to cells that are not kept, up-faces by axis
+    # then down-faces by axis, and how many of its 2d sides have no kept
+    # neighbour
+    cells = list(zip(*np.nonzero(keep)))
+    total, closed = np.zeros(len(cells)), np.zeros(len(cells))
+    for k, cell in enumerate(cells):
+        for step in (1, -1):
+            for ax in range(keep.ndim):
+                nb = cell[:ax] + (cell[ax] + step,) + cell[ax + 1:]
+                on_grid = 0 <= nb[ax] < keep.shape[ax]
+                if on_grid and keep[nb]:
+                    continue
+                closed[k] += 1
+                if on_grid:
+                    total[k] += faces[ax][cell if step == 1 else nb]
+    return total, closed
+
+
+_LINE = np.ones(256, dtype=bool)
+BUILDER_MASKS = {
+    "line": _LINE,
+    "line-column": _LINE.reshape(256, 1),
+    "line-row": _LINE.reshape(1, 256),
+    "cube": np.ones((20, 20, 20), dtype=bool),
+    "disconnected-pieces": _CUT,
+}
+
+
+def _same_csr(A, ref):
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("mask", BUILDER_MASKS.values(), ids=BUILDER_MASKS.keys())
+def test_restrict_matches_coo_laplacian(mask):
+    # random weights and a random collar on the domain mask; the capacity
+    # system (mass + faces to the collar) and the Hardy stiffness (closure
+    # weight on every side without a ball neighbour) equal, bit for bit, the
+    # COO Laplacian built cell by cell with the same diagonal
+    rng = np.random.default_rng(11)
+    d, h = mask.ndim, 1.0 / max(mask.shape)
+    grid = Grid(np.zeros(d), h, mask.shape, mask)
+    field = DistanceField(grid, rng.uniform(0.0, 1.0, mask.shape), 0.0, 1.0)
+    delta = 1.5
+    form = assemble_form(field, delta)
+
+    free = mask & (field.values > 0.2)
+    A, b = _restrict(form.faces, free, h**d)
+    cross, _ = _outer_faces(form.faces, free)
+    assert b.tobytes() == cross.tobytes()
+    _same_csr(A, _coo_laplacian(form.faces, free, h**d + cross))
+
+    extent = h * np.array(mask.shape)
+    idx, K, _ = _hardy_pencil(field, delta, 0.5 * extent, 0.3 * extent.max())
+    ball = np.zeros(mask.shape, dtype=bool)
+    ball.ravel()[idx] = True
+    _, closed = _outer_faces(form.faces, ball)
+    assert closed.min() < closed.max()
+    c = np.maximum(np.minimum(field.values[ball], 1.0), h / 2) ** delta
+    _same_csr(K, _coo_laplacian(form.faces, ball, closed * 2.0 * c * h ** (d - 2)))
 
 
 # --- Hardy quotients ---------------------------------------------------------------

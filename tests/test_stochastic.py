@@ -203,9 +203,18 @@ def test_round_shapes_agree(name, round_draws, dust128, monkeypatch):
 def _exact_absorption(form, field, start, horizon, eps):
     """P(start reaches the collar by `horizon`): expm(T Q) 1_collar at start,
     Q the walk's generator with the collar cells made absorbing."""
-    ii, jj, ww = form.edges
-    n = form.grid.n_cells
-    r = ww / form.grid.h**form.grid.dim
+    grid = form.grid
+    n, d = grid.n_cells, grid.dim
+    flat = np.arange(n).reshape(grid.dims)
+    ii, jj, r = [], [], []
+    for ax, f in enumerate(form.faces):
+        # the face between k and k + e_ax sits at k, on every layer but the last
+        lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(d))
+        hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
+        ii.append(flat[lo].ravel())
+        jj.append(flat[hi].ravel())
+        r.append(f[lo].ravel() / grid.h**d)
+    ii, jj, r = np.concatenate(ii), np.concatenate(jj), np.concatenate(r)
     q = coo_matrix((np.r_[r, r], (np.r_[ii, jj], np.r_[jj, ii])), shape=(n, n)).tocsr()
     q = q - diags(np.asarray(q.sum(axis=1)).ravel())
     collar = field.values.ravel() < eps
