@@ -29,8 +29,8 @@ from .errors import SnowcapError, SolverDiverged, EmptyDomain, EmptyRegion
 from .simsys import named_family, similarity_dimension, critical_delta, geometry_to_text
 from .geomfield import _ball, build_grid, distance_field
 from .forms import (
-    _check_capacity, _check_collar, _check_delta, _check_hardy, _hardy_solve, assemble_form,
-    capacity_relaxed, collar_integral,
+    _check_capacity, _check_collar, _check_delta, _check_hardy, _collar_sum, _hardy_solve,
+    assemble_form, capacity_relaxed,
 )
 from .stochastic import WalkConfig, _start_index, walk_absorption
 from .records import (
@@ -205,9 +205,9 @@ def _collar(args, grid, build_field, params):
     rho = _parse_length(args.rho, grid.h)
     taus = _parse_length_range(args.taus, grid.h)
     _check_collar(args.delta, rho, *taus)
-    _ball(grid, z, rho)
+    region = _ball(grid, z, rho)
     field = build_field()
-    values = [collar_integral(field, args.delta, z, rho, t) for t in taus]
+    values = [_collar_sum(field, region, args.delta, t) for t in taus]
     slope = float(np.polyfit(np.log(taus), np.log(values), 1)[0])
     return {"slope": slope, "taus": [float(t) for t in taus], "values": values}, {}, 0
 

@@ -13,7 +13,8 @@ separates the degeneracy regimes. The capacity and Hardy systems share one
 smoothed-aggregation multigrid hierarchy: the capacity solve is conjugate
 gradients preconditioned by its V-cycle, the Hardy quotient LOBPCG with the
 same V-cycle as preconditioner, stopped on the squared relative
-eigen-residual.
+eigen-residual. scipy is imported inside the functions that use it, so
+importing snowcap loads numpy alone and scipy loads on first use.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import EmptyRegion, SolverDiverged
 from .geomfield import DistanceField, Grid, _ball
@@ -117,6 +115,8 @@ def _restrict(faces, keep: np.ndarray, term):
     term plus the outer faces, then plus the faces to kept cells. Each CSR
     row is written in column order: down axes 0..d-1, diagonal, up d-1..0.
     """
+    from scipy.sparse import csr_matrix
+
     d = keep.ndim
     outer = np.zeros(keep.shape)
     for up in (True, False):
@@ -162,6 +162,8 @@ def _prolongator(A: csr_matrix, coords: np.ndarray):
     """Smoothed prolongator P = P0 - (2/3) D^-1 A P0 of the aggregates that
     group the unknowns of each 3^d block of cells, and the block coordinates
     of the aggregates."""
+    from scipy.sparse import csr_matrix
+
     n = A.shape[0]
     block = np.asarray(coords) // _AGG
     keys = np.ravel_multi_index(block.T, tuple(block.max(axis=0) + 1))
@@ -175,7 +177,7 @@ def _prolongator(A: csr_matrix, coords: np.ndarray):
 def _vcycle(levels, coarse, r):
     """One V(2,2) cycle on A x = r from x = 0, levels[0] the finest."""
     if not levels:
-        return cho_solve(coarse, r)
+        return coarse(r)
     A, wd, P, R = levels[0]
     x = wd * r
     x += wd * (r - A @ x)
@@ -194,15 +196,18 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
     piecewise-constant prolongator P0 by one damped-Jacobi step,
     P = P0 - (2/3) D^-1 A P0, and passes the Galerkin operator P^T A P down;
     a level of at most _COARSE_ROWS rows is factored densely. Returns the
-    levels above the coarsest, finest first, and the coarse factor.
+    levels above the coarsest, finest first, and the coarsest level's solve.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     levels = []  # (A, w D^-1, P, P^T) of each level above the coarsest
     while A.shape[0] > _COARSE_ROWS:
         P, coords = _prolongator(A, coords)
         R = P.T.tocsr()
         levels.append((A, _SMOOTH_W / A.diagonal(), P, R))
         A = R @ (A @ P)
-    return levels, cho_factor(A.toarray())
+    factor = cho_factor(A.toarray())
+    return levels, lambda r: cho_solve(factor, r)
 
 
 def _spd_solver(A: csr_matrix, coords: np.ndarray):
@@ -212,6 +217,8 @@ def _spd_solver(A: csr_matrix, coords: np.ndarray):
     Returns solve(b, x0, rtol) -> (x, iterations), which raises
     SolverDiverged on a stall, and the number of levels.
     """
+    from scipy.sparse.linalg import LinearOperator, cg
+
     levels, coarse = _hierarchy(A, coords)
     M = LinearOperator(A.shape, matvec=lambda r: _vcycle(levels, coarse, r), dtype=float)
 
@@ -247,7 +254,8 @@ def _target_distances(field: DistanceField, a_mask) -> np.ndarray:
         raise ValueError("target mask must be None or a boolean array of grid shape")
     if not a_mask.any():
         return np.full(field.grid.dims, np.inf)
-    from scipy.spatial import cKDTree  # imported on use: it slows every import of snowcap
+    from scipy.spatial import cKDTree
+
     pts = field.grid.centers()
     tree = cKDTree(pts[a_mask.ravel()])
     d, _ = tree.query(pts)
@@ -442,6 +450,8 @@ def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
 
 def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float,
                  max_outer: int) -> _HardyResult:
+    from scipy.linalg import eigh
+
     grid = field.grid
     _check_hardy(tol, max_outer)
     idx, K, mass = _hardy_pencil(field, delta, z, r)
@@ -515,9 +525,14 @@ def collar_integral(field: DistanceField, delta: float, z, rho: float, tau: floa
     shrinks, while above it the value stabilizes — the divergence-rate probe
     behind the uniqueness dichotomy.
     """
-    grid = field.grid
     _check_collar(delta, rho, tau)
-    region = _ball(grid, z, rho)
+    return _collar_sum(field, _ball(field.grid, z, rho), delta, tau)
+
+
+def _collar_sum(field: DistanceField, region: np.ndarray, delta: float, tau: float) -> float:
+    """`collar_integral` over the cells of a flat mask, so that a ladder of
+    taus shares one ball."""
+    grid = field.grid
     reg = np.maximum(_clamped(field.values.ravel()[region], grid.h), tau)
     return float(grid.h**grid.dim * np.sum(reg ** (delta - 2.0)))
 

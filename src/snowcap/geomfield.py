@@ -9,7 +9,9 @@ does, plus a rounding margin, so the surviving primitives always include each
 cell's nearest one and the only geometric error left is the finite
 realization depth itself. The bounds are sums of per-axis terms, each taken
 once per axis and offset bit rather than once per child block, and the exact
-kernels take per-axis coordinate columns.
+kernels take per-axis coordinate columns. scipy is imported inside the
+functions that use it (the regularity and uniformity estimates), so grids,
+fields and box-counting run on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     DegenerateFit,
@@ -494,7 +494,8 @@ def ahlfors_check(
     rng = np.random.default_rng(seed)
     centers = reps[rng.choice(len(reps), size=n_centers, p=masses)]
     radii = np.geomspace(r_lo, r_hi, radii_per_center)
-    from scipy.spatial import cKDTree  # imported on use: it slows every import of snowcap
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(reps)
     ratios = []
     for x in centers:
@@ -525,6 +526,9 @@ def uniformity_estimate(
     returned, saturated at sigma_max. Raises Disconnected when a sampled pair
     has no path at all inside the region.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     grid = field.grid
     region = _ball(grid, z, R)
     node_ids = np.flatnonzero(region)

@@ -134,6 +134,34 @@ def test_hardy_and_collar_record_outputs(tmp_path, capsys):
     assert recs[0].outputs == hardy
 
 
+def test_collar_ladder_builds_one_ball(monkeypatch, capsys):
+    fields, balls = [], []
+    build, ball = snowcap.cli.distance_field, snowcap.cli._ball
+
+    def keep(geom, grid):
+        fields.append(build(geom, grid))
+        return fields[-1]
+
+    def counting(*args):
+        balls.append(args)
+        return ball(*args)
+
+    monkeypatch.setattr(snowcap.cli, "distance_field", keep)
+    monkeypatch.setattr(snowcap.cli, "_ball", counting)
+    monkeypatch.setattr(snowcap.forms, "_ball", counting)
+    rc, out, _ = run(capsys, "collar", "--family", "koch", "--lambda", "0.3333333333",
+                     "--resolution", "128", "--delta", "0.5", "--z", "0.5,0.3",
+                     "--rho", "0.4", "--taus", "1h:16h:7")
+    assert rc == 0
+    assert len(balls) == 1
+    payload = json.loads(out)
+    # the ladder's values are collar_integral's, tau by tau
+    assert payload["values"] == [
+        snowcap.forms.collar_integral(fields[0], 0.5, (0.5, 0.3), 0.4, t)
+        for t in payload["taus"]
+    ]
+
+
 def test_walk_derives_seed_per_experiment(tmp_path, capsys):
     args = ["walk", "--family", "cantor", "--lambda", "0.25", "--d", "2",
             "--resolution", "32", "--delta", "0.0", "--start", "0.5,0.5",

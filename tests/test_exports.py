@@ -37,16 +37,48 @@ def test_module_exports_exist(module):
         assert getattr(snowcap, name, None) is getattr(mod, name), f"snowcap lacks {name!r}"
 
 
+def _fresh(code: str, *argv: str):
+    """The JSON value on the last line a fresh interpreter prints running code."""
+    src = os.path.dirname(os.path.dirname(snowcap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def test_fresh_import_namespace():
     # a fresh interpreter: the test modules import snowcap.cli, which adds a
     # name to the package
-    src = os.path.dirname(os.path.dirname(snowcap.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import json, sys, snowcap; print(json.dumps(["
-            "[n for n in dir(snowcap) if not n.startswith('_')], 'scipy.spatial' in sys.modules]))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    names, spatial = json.loads(run.stdout)
-    assert names == PUBLIC
-    # scipy.spatial is imported where it is used, off every hot path
-    assert not spatial
+    code = ("import json, snowcap; print(json.dumps("
+            "[n for n in dir(snowcap) if not n.startswith('_')]))")
+    assert _fresh(code) == PUBLIC
+
+
+# the numpy-only paths, then the two scipy solvers, in one fresh interpreter
+_COLD_PATHS = """
+import json, sys
+import snowcap, snowcap.cli
+from snowcap import (WalkConfig, assemble_form, build_grid, cantor_dust, capacity_relaxed,
+                     distance_field, hardy_quotient, minkowski_dimension, walk_absorption)
+
+geom = cantor_dust(0.25, 2, 3)
+grid = build_grid(geom, 32)
+field = distance_field(geom, grid)
+minkowski_dimension(field)
+form = assemble_form(field, 1.0)
+walk_absorption(form, field, WalkConfig(start=(4, 4), horizon=0.1, trials=20, seed=1,
+                                        absorb_eps=2 * grid.h))
+snowcap.cli.run_subcommand(["fractal", "--family", "cantor", "--lambda", "0.25", "--d", "2",
+                            "--depth", "2", "--out", sys.argv[1]])
+loaded = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
+cap = capacity_relaxed(field, 1.0, None, 2 * grid.h).value
+hardy = hardy_quotient(field, 1.0, (0.0, 0.0), 0.4)
+print(json.dumps([loaded, cap, hardy]))
+"""
+
+
+def test_numpy_paths_load_no_scipy(tmp_path):
+    loaded, cap, hardy = _fresh(_COLD_PATHS, str(tmp_path / "dust.txt"))
+    # scipy is imported by the solvers that use it, on first use
+    assert loaded == []
+    assert cap > 0 and hardy > 0

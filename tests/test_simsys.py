@@ -141,6 +141,17 @@ def test_koch_closed_polygon_and_bounds():
     assert abs(lo[0] - 0.0) < 1e-9 and abs(hi[0] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "geom",
+    [koch_snowflake(1 / 3, 4), cantor_dust(0.25, 2, 3), cantor_dust(0.25, 3, 2)],
+    ids=["koch", "cantor-2d", "cantor-3d"],
+)
+def test_bounds_equal_the_endpoint_reduction(geom):
+    flat = geom.primitives.reshape(-1, geom.dim)
+    for got, want in zip(geom.bounds(), (flat.min(axis=0), flat.max(axis=0))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_koch_polygon_is_counterclockwise():
     segs = koch_snowflake(1 / 3, 2).primitives
     x1, y1 = segs[:, 0, 0], segs[:, 0, 1]
