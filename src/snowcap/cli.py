@@ -7,8 +7,8 @@ them with their help lines).
 Every experiment appends one `ExperimentRecord` to a JSON-lines stream when a
 records path is given; sweeps require one and skip cells whose id is already
 present, so interrupted runs resume without recomputing. Options may come
-from a JSON config file (`--config`) keyed by long option names, with
-explicit flags taking precedence.
+from a JSON config file (`--config`) keyed by long option names; its values
+are parsed as the flags' text, and explicit flags take precedence.
 Exit codes: 0 success, 2 invalid config or empty domain, 3 solver failure.
 """
 
@@ -457,8 +457,8 @@ def _cmd_report(args) -> dict:
 
 @dataclass(frozen=True)
 class _Spec:
-    """One subcommand: help line, runner, the dests that a flag or the config
-    file must set, and options as (flag, add_argument keywords) pairs.
+    """One subcommand: help line, runner, and options as (flag, add_argument
+    keywords) pairs.
 
     id_keys is None for a subcommand that runs on its own: run(args) returns
     the JSON object to print. Otherwise the subcommand is a field experiment:
@@ -468,69 +468,63 @@ class _Spec:
 
     help: str
     run: Callable
-    required: tuple
     options: tuple
     id_keys: tuple | None = None
 
 
 _GEOMETRY = (
-    ("--family", dict(help="koch | vicsek | cantor")),
-    ("--lambda", dict(dest="lam", type=float, help="contraction ratio of the family")),
+    ("--family", dict(required=True, help="koch | vicsek | cantor")),
+    ("--lambda", dict(dest="lam", type=float, required=True,
+                      help="contraction ratio of the family")),
     ("--d", dict(type=int, default=2, help="ambient dimension")),
 )
 _RECORDS = ("--records", dict(help="JSON-lines record stream to append"))
 _FIELD = _GEOMETRY + (
     ("--resolution", dict(type=int, default=256, help="cells along the longest extent")),
     ("--depth", dict(type=int, help="substitution depth (default: error below one cell)")),
-    ("--delta", dict(type=float, help="degeneration order")),
+    ("--delta", dict(type=float, required=True, help="degeneration order")),
     _RECORDS,
 )
-_NEEDS_FIELD = ("family", "lam", "delta")
-_Z = ("--z", dict(help="ball center, comma-separated"))
+_Z = ("--z", dict(required=True, help="ball center, comma-separated"))
 
 _SPECS = {
     "fractal": _Spec(
         "realize a boundary family and export it in the text format", _cmd_fractal,
-        required=("family", "lam", "depth", "out"),
         options=_GEOMETRY + (
-            ("--depth", dict(type=int)),
-            ("--out", dict(help="text-format geometry path")),
+            ("--depth", dict(type=int, required=True)),
+            ("--out", dict(required=True, help="text-format geometry path")),
         )),
     "dimension": _Spec(
         "print the similarity dimension and the uniqueness threshold", _cmd_dimension,
-        required=("family", "lam"),
         options=_GEOMETRY + (_RECORDS,)),
     "capacity": _Spec(
-        "relaxed boundary capacity behind a collar", _capacity,
-        required=_NEEDS_FIELD, id_keys=("eps",),
+        "relaxed boundary capacity behind a collar", _capacity, id_keys=("eps",),
         options=_FIELD + (
             ("--eps", dict(default="8h", help="collar width (number or multiple of h)")),
             ("--cg-tol", dict(type=float, default=1e-8)),
         )),
     "hardy": _Spec(
-        "local Hardy quotient on a ball", _hardy,
-        required=_NEEDS_FIELD + ("z", "r"), id_keys=("z", "r"),
+        "local Hardy quotient on a ball", _hardy, id_keys=("z", "r"),
         options=_FIELD + (
             _Z,
-            ("--r", dict(help="ball radius (number or multiple of h)")),
+            ("--r", dict(required=True, help="ball radius (number or multiple of h)")),
             ("--tol", dict(type=float, default=1e-6,
                            help="bound on the squared relative eigen-residual")),
             ("--max-outer", dict(type=int, default=200, help="cap on LOBPCG iterations")),
         )),
     "collar": _Spec(
         "regularized collar integral over a tau ladder, with fitted exponent", _collar,
-        required=_NEEDS_FIELD + ("z", "rho"), id_keys=("z", "rho", "taus"),
+        id_keys=("z", "rho", "taus"),
         options=_FIELD + (
             _Z,
-            ("--rho", dict(help="region radius (number or multiple of h)")),
+            ("--rho", dict(required=True, help="region radius (number or multiple of h)")),
             ("--taus", dict(default="8h:64h:7", help="regularization ladder lo:hi:n")),
         )),
     "walk": _Spec(
         "absorbed-walk boundary-hitting fraction", _walk,
-        required=_NEEDS_FIELD + ("start",),
         id_keys=("start", "horizon", "trials", "absorb_eps", "seed"),
         options=_FIELD + (
-            ("--start", dict(help="start point, comma-separated")),
+            ("--start", dict(required=True, help="start point, comma-separated")),
             ("--horizon", dict(type=float, default=1.0)),
             ("--trials", dict(type=int, default=1000)),
             ("--absorb-eps", dict(default="6h")),
@@ -538,31 +532,29 @@ _SPECS = {
         )),
     "sweep": _Spec(
         "(lambda, delta) grid of capacity-trend cells, resumable", _cmd_sweep,
-        required=("family", "lambdas", "deltas", "resolution", "out"),
         options=(
-            ("--family", dict()),
+            ("--family", dict(required=True)),
             ("--d", dict(type=int, default=2)),
-            ("--lambdas", dict(help="lo:hi:n")),
-            ("--deltas", dict(help="lo:hi:n")),
-            ("--resolution", dict(type=int)),
+            ("--lambdas", dict(required=True, help="lo:hi:n")),
+            ("--deltas", dict(required=True, help="lo:hi:n")),
+            ("--resolution", dict(type=int, required=True)),
             ("--eps-cells", dict(type=float, default=8.0)),
             ("--cg-tol", dict(type=float, default=1e-6)),
             ("--seed", dict(type=int, default=0)),
-            ("--out", dict(help="JSON-lines record stream")),
+            ("--out", dict(required=True, help="JSON-lines record stream")),
         )),
     "report": _Spec(
         "record stream -> CSV table + SVG phase diagram", _cmd_report,
-        required=("infile", "out"),
         options=(
-            ("--in", dict(dest="infile", help="JSON-lines record stream")),
-            ("--out", dict(help="SVG output path")),
+            ("--in", dict(dest="infile", required=True, help="JSON-lines record stream")),
+            ("--out", dict(required=True, help="SVG output path")),
             ("--csv", dict(help="CSV output path (default: beside --out)")),
         )),
 }
 
 
 def _build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser with one subcommand parser per spec."""
     top = _Parser(prog="snowcap", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"snowcap {__version__}")
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -571,32 +563,40 @@ def _build_parser():
         p.add_argument("--config", default=None, help="JSON file of option defaults")
         for flag, kwargs in spec.options:
             p.add_argument(flag, **kwargs)
-    return top, sub.choices
+    return top
 
 
-def _apply_config(argv, parsers):
-    """Load `--config` JSON and install it as defaults on the subparser.
+def _with_config(argv: list) -> list:
+    """argv with the `--config` file's options written as `--flag=value`
+    tokens right after the subcommand name, so that argparse converts them
+    with each flag's type and the command line's own flags, parsed after
+    them, win.
 
-    A key is a long option name without its dashes or an option's dest.
+    A key is a long option name without its dashes or an option's dest; a
+    value is a JSON string or number, read as the flag's text.
     """
-    if not argv or argv[0] not in parsers:
-        return
+    if not argv or argv[0] not in _SPECS:
+        return argv
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv[1:])[0].config
     if path is None:
-        return
+        return argv
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise _CliError("config file must hold a JSON object")
-    sub = parsers[argv[0]]
-    keys = {name: a.dest for a in sub._actions if a.dest not in ("help", "config")
-            for name in (a.dest, *(opt.lstrip("-") for opt in a.option_strings))}
-    unknown = set(cfg) - set(keys)
+    flags = {}
+    for flag, kwargs in _SPECS[argv[0]].options:
+        name = flag.lstrip("-")
+        flags[name] = flags[kwargs.get("dest", name.replace("-", "_"))] = flag
+    unknown = set(cfg) - set(flags)
     if unknown:
         raise _CliError(f"config keys not accepted by {argv[0]!r}: {sorted(unknown)}")
-    sub.set_defaults(**{keys[k]: v for k, v in cfg.items()})
+    bad = [k for k, v in cfg.items() if isinstance(v, bool) or not isinstance(v, (str, int, float))]
+    if bad:
+        raise _CliError(f"config values must be strings or numbers: {sorted(bad)}")
+    return [argv[0], *(f"{flags[k]}={v}" for k, v in cfg.items()), *argv[1:]]
 
 
 def run_subcommand(argv) -> int:
@@ -607,13 +607,8 @@ def run_subcommand(argv) -> int:
     """
     argv = list(argv)
     try:
-        top, parsers = _build_parser()
-        _apply_config(argv, parsers)
-        args = top.parse_args(argv)
+        args = _build_parser().parse_args(_with_config(argv))
         spec = _SPECS[args.cmd]
-        missing = [n for n in spec.required if getattr(args, n, None) is None]
-        if missing:
-            raise _CliError(f"{args.cmd}: missing required option(s) {missing}")
         payload = spec.run(args) if spec.id_keys is None else _run_experiment(spec, args)
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return 0

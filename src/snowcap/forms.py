@@ -79,14 +79,11 @@ class SparseForm:
     grid: Grid
 
     def energy(self, phi: np.ndarray) -> float:
-        """h(phi) for a grid function (flat or grid-shaped), summed over the
-        faces between domain cells by axis, then in flat order."""
+        """h(phi) for a grid function (flat or grid-shaped): one dot product
+        over the faces between domain cells per axis, summed in axis order."""
         p = np.asarray(phi, dtype=float).reshape(self.grid.dims)
-        weights, squares = [], []
-        for f, (lo, hi, on) in zip(self.faces, _pairs(self.grid.omega_mask)):
-            weights.append(f[lo][on])
-            squares.append((p[lo][on] - p[hi][on]) ** 2)
-        return float(np.dot(np.concatenate(weights), np.concatenate(squares)))
+        return float(sum(np.dot(f[lo][on], (p[lo][on] - p[hi][on]) ** 2)
+                         for f, (lo, hi, on) in zip(self.faces, _pairs(self.grid.omega_mask))))
 
 
 def _faces(c: np.ndarray, mask: np.ndarray, h: float) -> tuple:
@@ -401,8 +398,9 @@ def hardy_quotient(
     relative eigenvalue error by tol times lambda over the spectral gap
     (Kato-Temple). It raises SolverDiverged past max_outer iterations or
     when the search directions lose rank, which is also how a tol below the
-    attainable accuracy ends. A tol that is not positive and finite, or a
-    negative max_outer, raises ValueError before any assembly.
+    attainable accuracy ends. A negative or NaN delta, a tol that is not
+    positive and finite, or a negative max_outer raises ValueError before
+    any assembly.
     """
     return _hardy_solve(field, delta, z, r, tol, max_outer).quotient
 
@@ -429,12 +427,12 @@ def _check_hardy(tol: float, max_outer: int) -> None:
 
 
 def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
-    """Flat indices of the ball's cells, its closed stiffness matrix K and
-    its diagonal mass M; a function of its own so that the assembly's
+    """The ball's grid-shaped mask, its closed stiffness matrix K and its
+    diagonal mass M; a function of its own so that the assembly's
     temporaries are freed before the solve."""
     grid = field.grid
     h, d = grid.h, grid.dim
-    region = _ball(grid, z, r).reshape(grid.dims)
+    region = _ball(grid, z, r)
     # the ball within its bounding box, its cells in the same order
     box = tuple(slice(k.min(), k.max() + 1) for k in np.nonzero(region))
     ball, dist = region[box], _clamped(field.values[box], h)
@@ -445,24 +443,24 @@ def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
         closed[lo] -= both
         closed[hi] -= both
     K, _ = _restrict(_faces(c, ball, h), ball, closed[ball] * 2.0 * c[ball] * h ** (d - 2))
-    return np.flatnonzero(region), K, h**d * dist[ball] ** (delta - 2.0)
+    return region, K, h**d * dist[ball] ** (delta - 2.0)
 
 
 def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float,
                  max_outer: int) -> _HardyResult:
     from scipy.linalg import eigh
 
-    grid = field.grid
+    _check_delta(delta)
     _check_hardy(tol, max_outer)
-    idx, K, mass = _hardy_pencil(field, delta, z, r)
-    levels, coarse = _hierarchy(K, np.column_stack(np.unravel_index(idx, grid.dims)))
+    region, K, mass = _hardy_pencil(field, delta, z, r)
+    levels, coarse = _hierarchy(K, np.argwhere(region))
 
     # rows of S: the M-normalized iterate x, the preconditioned residual w and
     # the last step p; rows of KS their images under K. K x and K p follow x
     # and p by the same recurrences, and a residual that passes is confirmed
     # on a fresh product K x. The rows are updated in place: new arrays each
     # iteration left the process's peak RSS ~2 MB higher on a 61k-cell ball.
-    S, KS = np.empty((3, len(idx))), np.empty((3, len(idx)))
+    S, KS = np.empty((3, len(mass))), np.empty((3, len(mass)))
     x, kx = S[0], KS[0]
     x[:] = 1.0 / np.sqrt(mass.sum())
     kx[:] = K @ x
@@ -508,9 +506,9 @@ def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float,
         kx /= scale
         S[2], KS[2], rows, fresh = p / step, kp / step, 3, False
 
-    full = np.zeros(grid.n_cells)
-    full[idx] = x
-    return _HardyResult(lam, iters, resid, len(levels) + 1, full.reshape(grid.dims))
+    full = np.zeros(region.shape)
+    full[region] = x
+    return _HardyResult(lam, iters, resid, len(levels) + 1, full)
 
 
 # --- collar integral ---------------------------------------------------------------
@@ -530,10 +528,10 @@ def collar_integral(field: DistanceField, delta: float, z, rho: float, tau: floa
 
 
 def _collar_sum(field: DistanceField, region: np.ndarray, delta: float, tau: float) -> float:
-    """`collar_integral` over the cells of a flat mask, so that a ladder of
-    taus shares one ball."""
+    """`collar_integral` over the cells of a grid-shaped mask, so that a
+    ladder of taus shares one ball."""
     grid = field.grid
-    reg = np.maximum(_clamped(field.values.ravel()[region], grid.h), tau)
+    reg = np.maximum(_clamped(field.values[region], grid.h), tau)
     return float(grid.h**grid.dim * np.sum(reg ** (delta - 2.0)))
 
 

@@ -396,15 +396,18 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
 
 
 def _ball(grid: Grid, z, r: float) -> np.ndarray:
-    """Flat mask of the domain cells whose centre lies strictly within r of z."""
+    """Grid-shaped mask of the domain cells whose centre lies strictly within
+    r of z, a point with one coordinate per grid axis."""
     d = grid.dim
     z = np.asarray(z, dtype=float)
+    if z.shape != (d,):
+        raise ValueError(f"z must have {d} coordinates")
     # per-axis squared offsets broadcast over the grid, summed in axis order
     sq = sum(
         ((grid.axis_centers(ax) - z[ax]) ** 2).reshape([-1 if k == ax else 1 for k in range(d)])
         for ax in range(d)
     )
-    region = grid.omega_mask.ravel() & (np.sqrt(sq).ravel() < r)
+    region = grid.omega_mask & (np.sqrt(sq) < r)
     if not region.any():
         raise EmptyRegion(f"no in-domain cell within {r} of z")
     return region
@@ -536,7 +539,6 @@ def uniformity_estimate(
         raise EmptyRegion("fewer than two cells near z")
     compact = -np.ones(grid.n_cells, dtype=np.int64)
     compact[node_ids] = np.arange(len(node_ids))
-    region_nd = region.reshape(grid.dims)
 
     rows, cols, wts = [], [], []
     d = grid.dim
@@ -551,7 +553,7 @@ def uniformity_estimate(
     for off in offsets:
         src = [slice(max(0, -o), grid.dims[ax] - max(0, o)) for ax, o in enumerate(off)]
         dst = [slice(max(0, o), grid.dims[ax] - max(0, -o)) for ax, o in enumerate(off)]
-        ok = region_nd[tuple(src)] & region_nd[tuple(dst)]
+        ok = region[tuple(src)] & region[tuple(dst)]
         i = flat_idx[tuple(src)][ok]
         j = flat_idx[tuple(dst)][ok]
         rows.append(compact[i])

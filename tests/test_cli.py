@@ -319,6 +319,62 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     assert rec.tolerances == {"cg_tol": 1e-9}  # keys are long option names
 
 
+# config options and the flags they stand for, on a capacity run whose other
+# options come from _CAPACITY; the config file's values are read as the flags'
+# text, so both write one record id
+_CAPACITY = {"--family": "cantor", "--lambda": "0.25", "--d": "2", "--resolution": "32",
+             "--delta": "0.5"}
+CONFIG_AS_FLAGS = {
+    "delta": ({"delta": 1}, ["--delta", "1"], None),
+    "eps": ({"eps": 0.25}, ["--eps", "0.25"], None),
+    "resolution": ({"resolution": 32}, ["--resolution", "32"], "1fbd51cf03ae65f1"),
+    "dests": ({"lam": 0.25, "cg_tol": 1e-9}, ["--lambda", "0.25", "--cg-tol", "1e-9"], None),
+}
+
+
+@pytest.mark.parametrize("cfg, flags, pinned", CONFIG_AS_FLAGS.values(),
+                         ids=CONFIG_AS_FLAGS.keys())
+def test_config_and_flags_write_one_record_id(cfg, flags, pinned, tmp_path, capsys):
+    rest = [t for flag, v in _CAPACITY.items() if flag not in flags for t in (flag, v)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    ids = []
+    for options in (["--config", str(path)], flags):
+        recs = str(tmp_path / f"{len(ids)}.jsonl")
+        assert run(capsys, "capacity", *options, *rest, "--records", recs)[0] == 0
+        ids.append(load_records(recs)[0].id)
+    assert ids[0] == ids[1]
+    if pinned is not None:
+        assert ids[0] == pinned
+
+
+_NOT_SCALAR = "config values must be strings or numbers: {}"
+REFUSED_CONFIG = {
+    "resolution-float": ({"resolution": 32.0},
+                         "argument --resolution: invalid int value: '32.0'"),
+    "resolution-fraction": ({"resolution": 32.5},
+                            "argument --resolution: invalid int value: '32.5'"),
+    "trials-float": ({"trials": 50.0}, "argument --trials: invalid int value: '50.0'"),
+    "records-true": ({"records": True}, _NOT_SCALAR.format(["records"])),
+    "depth-null": ({"depth": None}, _NOT_SCALAR.format(["depth"])),
+}
+
+
+@pytest.mark.parametrize("cfg, message", REFUSED_CONFIG.values(), ids=REFUSED_CONFIG.keys())
+def test_config_values_are_checked_as_flags(cfg, message, field_builds, tmp_path, capfd):
+    # captured at the file descriptors: a records path of `true` would be
+    # fd 1, and the record would land on stdout
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run(capfd, "walk", "--config", str(path), "--family", "cantor",
+                       "--lambda", "0.25", "--delta", "0.0", "--start", "0.5,0.5",
+                       "--horizon", "0.05")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "config", "message": message}
+    assert field_builds == []
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -353,6 +409,20 @@ def test_solver_failure_exit_code(capsys):
                      "--z", "0.0,0.0", "--r", "0.4", "--max-outer", "0")
     assert rc == 3
     assert json.loads(err)["error"] == "solver"
+
+
+@pytest.mark.parametrize("name", snowcap.cli._SPECS)
+def test_help_shows_required_options_unbracketed(name, capsys):
+    rc, out, _ = run(capsys, name, "--help")
+    assert rc == 0
+    usage = " ".join(out.split("\n\n")[0].split())  # usage wraps inside an option
+    required = [(flag, kw) for flag, kw in snowcap.cli._SPECS[name].options
+                if kw.get("required")]
+    assert required
+    for flag, kw in required:
+        metavar = kw.get("dest", flag.lstrip("-").replace("-", "_")).upper()
+        assert f" {flag} {metavar}" in usage
+        assert f"[{flag} {metavar}]" not in usage
 
 
 # --- depth selection ----------------------------------------------------------

@@ -25,6 +25,7 @@ from snowcap import (
     capacity_relaxed,
     hardy_quotient,
     collar_integral,
+    uniformity_estimate,
 )
 from snowcap.forms import (
     _faces,
@@ -431,9 +432,7 @@ def test_restrict_matches_coo_laplacian(mask):
     _same_csr(A, _coo_laplacian(form.faces, free, h**d + cross))
 
     extent = h * np.array(mask.shape)
-    idx, K, _ = _hardy_pencil(field, delta, 0.5 * extent, 0.3 * extent.max())
-    ball = np.zeros(mask.shape, dtype=bool)
-    ball.ravel()[idx] = True
+    ball, K, _ = _hardy_pencil(field, delta, 0.5 * extent, 0.3 * extent.max())
     _, closed = _outer_faces(form.faces, ball)
     assert closed.min() < closed.max()
     c = np.maximum(np.minimum(field.values[ball], 1.0), h / 2) ** delta
@@ -527,8 +526,21 @@ def test_hardy_validation():
             hardy_quotient(field, 0.5, (5.0,), 0.1, tol=tol)
     with pytest.raises(ValueError, match="max_outer must be >= 0"):
         hardy_quotient(field, 0.5, (5.0,), 0.1, max_outer=-1)
+    for delta in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            hardy_quotient(field, delta, (5.0,), 0.1)
     with pytest.raises(EmptyRegion):
         hardy_quotient(field, 0.5, (5.0,), 0.1)
+
+
+@pytest.mark.parametrize("z", [(0.5, 0.3, 99.0), (0.5,)], ids=["3-coords", "1-coord"])
+def test_ball_centre_has_one_coordinate_per_axis(z, koch128):
+    # every ball around z refuses a centre of another dimension
+    for measure in (lambda: hardy_quotient(koch128, 0.5, z, 0.3),
+                    lambda: collar_integral(koch128, 0.5, z, 0.3, 0.1),
+                    lambda: uniformity_estimate(koch128, z, 0.3)):
+        with pytest.raises(ValueError, match="z must have 2 coordinates"):
+            measure()
 
 
 def test_hardy_2d_matches_dense_eigensolver():
