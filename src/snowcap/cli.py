@@ -54,19 +54,18 @@ class _Parser(argparse.ArgumentParser):
 # --- small parsers ------------------------------------------------------------
 
 
-def _parse_length(spec, h: float) -> float:
-    """Length literal: plain number, or a multiple of the cell size ('8h')."""
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    s = str(spec).strip()
-    if s.endswith("h"):
-        return float(s[:-1]) * h
-    return float(s)
+def _parse_length(spec: str, h: float) -> float:
+    """Finite length literal: plain number, or a multiple of the cell size ('8h')."""
+    s = spec.strip()
+    length = float(s[:-1]) * h if s.endswith("h") else float(s)
+    if not np.isfinite(length):
+        raise _CliError(f"length {spec!r} must be finite")
+    return length
 
 
-def _parse_range(spec) -> np.ndarray:
+def _parse_range(spec: str) -> np.ndarray:
     """'lo:hi:n' -> n evenly spaced values from lo to hi inclusive."""
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     if len(parts) != 3:
         raise _CliError(f"range {spec!r} must look like lo:hi:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
@@ -75,9 +74,9 @@ def _parse_range(spec) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _parse_length_range(spec, h: float) -> np.ndarray:
+def _parse_length_range(spec: str, h: float) -> np.ndarray:
     """'8h:64h:7' -> geometric ladder of lengths (bounds may use the h suffix)."""
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     if len(parts) != 3:
         raise _CliError(f"range {spec!r} must look like lo:hi:n")
     lo, hi, n = _parse_length(parts[0], h), _parse_length(parts[1], h), int(parts[2])
@@ -86,8 +85,8 @@ def _parse_length_range(spec, h: float) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _parse_point(spec, dim: int) -> tuple:
-    vals = tuple(float(v) for v in str(spec).split(","))
+def _parse_point(spec: str, dim: int) -> tuple:
+    vals = tuple(float(v) for v in spec.split(","))
     if len(vals) != dim:
         raise _CliError(f"point {spec!r} must have {dim} comma-separated coordinates")
     return vals
@@ -194,8 +193,8 @@ def _hardy(args, grid, build_field, params):
     params["z"] = list(z)
     r = _parse_length(args.r, grid.h)
     _check_hardy(args.tol, args.max_outer)
-    _ball(grid, z, r)
-    res = _hardy_solve(build_field(), args.delta, z, r, args.tol, args.max_outer)
+    region = _ball(grid, z, r)
+    res = _hardy_solve(build_field(), region, args.delta, args.tol, args.max_outer)
     return {**_outputs(res), "z": list(z), "r": r}, {"tol": args.tol}, 0
 
 
@@ -343,9 +342,9 @@ def _axis_edges(values: np.ndarray):
     return values[0] - half, values[-1] + half
 
 
-def _svg_phase(records, path: str) -> None:
-    """Heatmap of (lambda, delta) capacity-trend verdicts with the critical
-    threshold curve delta_c(lambda) overlaid."""
+def _svg_phase(records) -> str:
+    """SVG text of a heatmap of (lambda, delta) capacity-trend verdicts with
+    the critical threshold curve delta_c(lambda) overlaid."""
     cells = [r for r in records if r.op == "capacity-trend"]
     if not cells:
         raise EmptyRegion("no capacity-trend records to plot")
@@ -437,8 +436,7 @@ def _svg_phase(records, path: str) -> None:
     )
     parts.append(f'<text x="{lx + 20}" y="{y + 2}">delta_c(lambda)</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def _cmd_report(args) -> dict:
@@ -447,8 +445,10 @@ def _cmd_report(args) -> dict:
     if csv_path is None:
         stem, ext = os.path.splitext(args.out)
         csv_path = (stem if ext else args.out) + ".csv"
+    svg = _svg_phase(records)  # raises before either file is written
     _write_csv(records, csv_path)
-    _svg_phase(records, args.out)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     return {"records": len(records), "csv": csv_path, "svg": args.out}
 
 
@@ -610,7 +610,7 @@ def run_subcommand(argv) -> int:
         args = _build_parser().parse_args(_with_config(argv))
         spec = _SPECS[args.cmd]
         payload = spec.run(args) if spec.id_keys is None else _run_experiment(spec, args)
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
         return 0
     except SystemExit as e:  # argparse --help / --version
         return int(e.code or 0)

@@ -400,16 +400,18 @@ def hardy_quotient(
     when the search directions lose rank, which is also how a tol below the
     attainable accuracy ends. A negative or NaN delta, a tol that is not
     positive and finite, or a negative max_outer raises ValueError before
-    any assembly.
+    the ball is built.
     """
-    return _hardy_solve(field, delta, z, r, tol, max_outer).quotient
+    _check_delta(delta)
+    _check_hardy(tol, max_outer)
+    return _hardy_solve(field, _ball(field.grid, z, r), delta, tol, max_outer).quotient
 
 
 @dataclass(frozen=True)
 class _HardyResult:
     """`hardy_quotient`'s solve: the quotient, the LOBPCG iterations, the
     relative residual, the number of multigrid levels and the M-normalized
-    eigenvector on the grid."""
+    eigenvector, one entry per ball cell in C order."""
 
     quotient: float
     iterations: int
@@ -426,13 +428,13 @@ def _check_hardy(tol: float, max_outer: int) -> None:
         raise ValueError("max_outer must be >= 0")
 
 
-def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
-    """The ball's grid-shaped mask, its closed stiffness matrix K and its
-    diagonal mass M; a function of its own so that the assembly's
-    temporaries are freed before the solve."""
+def _hardy_pencil(field: DistanceField, region: np.ndarray, delta: float):
+    """The closed stiffness matrix K and the diagonal mass M on the cells of
+    the grid-shaped ball mask region, unknown k its k-th cell in C order;
+    only the ball's bounding box is assembled. A function of its own so that
+    the assembly's temporaries are freed before the solve."""
     grid = field.grid
     h, d = grid.h, grid.dim
-    region = _ball(grid, z, r)
     # the ball within its bounding box, its cells in the same order
     box = tuple(slice(k.min(), k.max() + 1) for k in np.nonzero(region))
     ball, dist = region[box], _clamped(field.values[box], h)
@@ -443,16 +445,16 @@ def _hardy_pencil(field: DistanceField, delta: float, z, r: float):
         closed[lo] -= both
         closed[hi] -= both
     K, _ = _restrict(_faces(c, ball, h), ball, closed[ball] * 2.0 * c[ball] * h ** (d - 2))
-    return region, K, h**d * dist[ball] ** (delta - 2.0)
+    return K, h**d * dist[ball] ** (delta - 2.0)
 
 
-def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float,
+def _hardy_solve(field: DistanceField, region: np.ndarray, delta: float, tol: float,
                  max_outer: int) -> _HardyResult:
+    """`hardy_quotient` on the cells of a grid-shaped ball mask, its options
+    already checked."""
     from scipy.linalg import eigh
 
-    _check_delta(delta)
-    _check_hardy(tol, max_outer)
-    region, K, mass = _hardy_pencil(field, delta, z, r)
+    K, mass = _hardy_pencil(field, region, delta)
     levels, coarse = _hierarchy(K, np.argwhere(region))
 
     # rows of S: the M-normalized iterate x, the preconditioned residual w and
@@ -506,9 +508,7 @@ def _hardy_solve(field: DistanceField, delta: float, z, r: float, tol: float,
         kx /= scale
         S[2], KS[2], rows, fresh = p / step, kp / step, 3, False
 
-    full = np.zeros(region.shape)
-    full[region] = x
-    return _HardyResult(lam, iters, resid, len(levels) + 1, full)
+    return _HardyResult(lam, iters, resid, len(levels) + 1, x.copy())
 
 
 # --- collar integral ---------------------------------------------------------------

@@ -407,7 +407,7 @@ def _ball(grid: Grid, z, r: float) -> np.ndarray:
         ((grid.axis_centers(ax) - z[ax]) ** 2).reshape([-1 if k == ax else 1 for k in range(d)])
         for ax in range(d)
     )
-    region = grid.omega_mask & (np.sqrt(sq) < r)
+    region = grid.omega_mask & (np.sqrt(sq, out=sq) < r)
     if not region.any():
         raise EmptyRegion(f"no in-domain cell within {r} of z")
     return region
@@ -527,45 +527,39 @@ def uniformity_estimate(
     keeps sigma * d(w) >= min(|w-x|, |w-y|) and the path length is at most
     sigma * |x-y|. Bisection over sigma per pair; the maximum over pairs is
     returned, saturated at sigma_max. Raises Disconnected when a sampled pair
-    has no path at all inside the region.
+    has no path at all inside the region. Past the ball's mask, the graph,
+    centres and distances cover only the ball's cells, found in its bounding
+    box, so the work is sized by the ball, not the grid.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     grid = field.grid
     region = _ball(grid, z, R)
-    node_ids = np.flatnonzero(region)
-    if len(node_ids) < 2:
+    cells = np.nonzero(region)
+    n = len(cells[0])
+    if n < 2:
         raise EmptyRegion("fewer than two cells near z")
-    compact = -np.ones(grid.n_cells, dtype=np.int64)
-    compact[node_ids] = np.arange(len(node_ids))
+    # the ball within its bounding box; node k is its k-th cell in C order
+    box = tuple(slice(k.min(), k.max() + 1) for k in cells)
+    ball = region[box]
+    node = np.cumsum(ball).reshape(ball.shape) - 1
 
     rows, cols, wts = [], [], []
-    d = grid.dim
-    offsets = [
-        off
-        for off in np.stack(
-            np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        if (off != 0).any()
-    ]
-    flat_idx = np.arange(grid.n_cells).reshape(grid.dims)
-    for off in offsets:
-        src = [slice(max(0, -o), grid.dims[ax] - max(0, o)) for ax, o in enumerate(off)]
-        dst = [slice(max(0, o), grid.dims[ax] - max(0, -o)) for ax, o in enumerate(off)]
-        ok = region[tuple(src)] & region[tuple(dst)]
-        i = flat_idx[tuple(src)][ok]
-        j = flat_idx[tuple(dst)][ok]
-        rows.append(compact[i])
-        cols.append(compact[j])
-        wts.append(np.full(len(i), grid.h * float(np.linalg.norm(off))))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    wts = np.concatenate(wts)
-    n = len(node_ids)
-    graph = csr_matrix((wts, (rows, cols)), shape=(n, n))
+    for off in itertools.product((-1, 0, 1), repeat=grid.dim):
+        if not any(off):
+            continue
+        src = tuple(slice(max(0, -o), m - max(0, o)) for o, m in zip(off, ball.shape))
+        dst = tuple(slice(max(0, o), m - max(0, -o)) for o, m in zip(off, ball.shape))
+        ok = ball[src] & ball[dst]
+        rows.append(node[src][ok])
+        cols.append(node[dst][ok])
+        wts.append(np.full(len(rows[-1]), grid.h * float(np.linalg.norm(off))))
+    graph = csr_matrix((np.concatenate(wts), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n, n))
 
-    pts = grid.centers()[node_ids]
-    dvals = field.values.ravel()[node_ids]
+    pts = np.stack([grid.axis_centers(ax)[k] for ax, k in enumerate(cells)], axis=1)
+    dvals = field.values[region]
     rng = np.random.default_rng(seed)
     sigma_est = 1.0
 

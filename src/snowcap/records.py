@@ -88,8 +88,10 @@ def append_record(path: str, rec: ExperimentRecord) -> None:
 
     A final line without its newline is a write cut short: it is truncated
     when it does not parse, and terminated when it does, so the new record
-    starts on its own line.
+    starts on its own line. A record that is not JSON (a NaN or infinite
+    output) raises ValueError before the stream is opened.
     """
+    line = (rec.to_json() + "\n").encode("utf-8")
     with open(path, "a+b") as fh:
         size = fh.seek(0, os.SEEK_END)
         fh.seek(max(size - 1, 0))
@@ -101,7 +103,7 @@ def append_record(path: str, rec: ExperimentRecord) -> None:
                 fh.write(b"\n")
             else:
                 fh.truncate(cut)
-        fh.write((rec.to_json() + "\n").encode("utf-8"))
+        fh.write(line)
 
 
 def _stream_lines(path: str) -> list[str]:

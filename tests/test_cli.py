@@ -134,7 +134,9 @@ def test_hardy_and_collar_record_outputs(tmp_path, capsys):
     assert recs[0].outputs == hardy
 
 
-def test_collar_ladder_builds_one_ball(monkeypatch, capsys):
+@pytest.fixture
+def ball_builds(monkeypatch):
+    """The fields the CLI builds and the balls built in the CLI and in forms."""
     fields, balls = [], []
     build, ball = snowcap.cli.distance_field, snowcap.cli._ball
 
@@ -149,6 +151,11 @@ def test_collar_ladder_builds_one_ball(monkeypatch, capsys):
     monkeypatch.setattr(snowcap.cli, "distance_field", keep)
     monkeypatch.setattr(snowcap.cli, "_ball", counting)
     monkeypatch.setattr(snowcap.forms, "_ball", counting)
+    return fields, balls
+
+
+def test_collar_ladder_builds_one_ball(ball_builds, capsys):
+    fields, balls = ball_builds
     rc, out, _ = run(capsys, "collar", "--family", "koch", "--lambda", "0.3333333333",
                      "--resolution", "128", "--delta", "0.5", "--z", "0.5,0.3",
                      "--rho", "0.4", "--taus", "1h:16h:7")
@@ -160,6 +167,17 @@ def test_collar_ladder_builds_one_ball(monkeypatch, capsys):
         snowcap.forms.collar_integral(fields[0], 0.5, (0.5, 0.3), 0.4, t)
         for t in payload["taus"]
     ]
+
+
+def test_hardy_builds_one_ball(ball_builds, capsys):
+    fields, balls = ball_builds
+    rc, out, _ = run(capsys, "hardy", "--family", "koch", "--lambda", "0.3333333333",
+                     "--resolution", "64", "--delta", "0.5", "--z", "0.5,0.3", "--r", "0.2")
+    assert rc == 0
+    assert len(balls) == 1
+    # the quotient is hardy_quotient's
+    assert json.loads(out)["quotient"] == snowcap.forms.hardy_quotient(
+        fields[0], 0.5, (0.5, 0.3), 0.2)
 
 
 def test_walk_derives_seed_per_experiment(tmp_path, capsys):
@@ -257,6 +275,7 @@ REFUSED = {
     "walk-horizon-inf": ([*_WALK, "--horizon", "inf"], "horizon must be positive and finite"),
     "walk-horizon-nan": ([*_WALK, "--horizon", "nan"], "horizon must be positive and finite"),
     "walk-absorb-eps": ([*_WALK, "--absorb-eps", "1h"], "absorb_eps must span at least two cells"),
+    "walk-absorb-eps-inf": ([*_WALK, "--absorb-eps", "inf"], "length 'inf' must be finite"),
     "walk-start": (["walk", "--family", "koch", "--lambda", "0.25", "--resolution", "32",
                     "--delta", "0.0", "--start", "9,9"], "start cell must be inside the domain"),
     "walk-start-outside": ([*_WALK, "--start", "0.5,9"], "start cell must be inside the domain"),
@@ -265,10 +284,12 @@ REFUSED = {
                            "--delta", "0.0", "--start", "0.05,-0.2"],
                           "start cell must be inside the domain"),
     "hardy-r-0": ([*_HARDY, "--r", "0"], "no in-domain cell within 0.0 of z", "empty-domain"),
+    "hardy-r-inf": ([*_HARDY, "--r", "inf"], "length 'inf' must be finite"),
     "hardy-max-outer": ([*_HARDY, "--r", "12h", "--max-outer", "-1"], "max_outer must be >= 0"),
     "hardy-tol-0": ([*_HARDY, "--r", "12h", "--tol", "0"], _TOL),
     "hardy-tol-nan": ([*_HARDY, "--r", "12h", "--tol", "nan"], _TOL),
     "collar-rho": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "4h"], "need 0 < tau < rho"),
+    "collar-rho-inf": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "inf"], "length 'inf' must be finite"),
     "collar-ball": ([*_COLLAR, "--z", "9,9", "--rho", "0.3", "--taus", "1h:4h:4"],
                     "no in-domain cell within 0.3 of z", "empty-domain"),
     "capacity-cg-tol": (["capacity", *_C, "--delta", "0.5", "--cg-tol", "0"], _CG_TOL),
@@ -276,6 +297,8 @@ REFUSED = {
     "capacity-delta-nan": (["capacity", *_C, "--delta", "nan"], _DELTA),
     "capacity-eps": (["capacity", *_C, "--delta", "0.5", "--eps", "1h"],
                      "collar width eps must be at least two cells"),
+    "capacity-eps-inf": (["capacity", *_C, "--delta", "0.5", "--eps", "inf"],
+                         "length 'inf' must be finite"),
     "collar-delta": (["collar", *_C, "--delta", "-1", "--z", "0.5,0.5", "--rho", "0.3",
                       "--taus", "1h:4h:4"], _DELTA),
     "sweep-eps-cells": ([*_SWEEP4, "--eps-cells", "1"],
@@ -401,6 +424,21 @@ def test_empty_domain_exit_code(capsys):
                      "--d", "2", "--resolution", "16", "--delta", "1.0")
     assert rc == 2
     assert json.loads(err)["error"] == "empty-domain"
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["stdout", "records"])
+def test_result_that_is_not_json_is_refused(records, field_builds, tmp_path, capsys):
+    # at delta 400 every weight underflows: the right-hand side is 0 and the
+    # relative residual 0/0 = NaN, which JSON cannot hold
+    recs = tmp_path / "r.jsonl"
+    rc, out, err = run(capsys, "capacity", "--family", "koch", "--lambda", "0.3333333333",
+                       "--resolution", "32", "--delta", "400",
+                       *(["--records", str(recs)] if records else []))
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+    assert field_builds == [(28, 32)]
+    assert not recs.exists()
 
 
 def test_solver_failure_exit_code(capsys):
@@ -547,6 +585,8 @@ def test_report_without_sweep_records_fails(tmp_path, capsys):
     rc, _, err = run(capsys, "report", "--in", recs, "--out", str(tmp_path / "p.svg"))
     assert rc == 2
     assert json.loads(err)["error"] == "empty-domain"
+    assert not (tmp_path / "p.csv").exists()
+    assert not (tmp_path / "p.svg").exists()
 
 
 # --- seed expansion -------------------------------------------------------------

@@ -34,6 +34,7 @@ from snowcap.forms import (
     _restrict,
     _spd_solver,
 )
+from snowcap.geomfield import _ball
 
 
 def square_field(res):
@@ -432,7 +433,8 @@ def test_restrict_matches_coo_laplacian(mask):
     _same_csr(A, _coo_laplacian(form.faces, free, h**d + cross))
 
     extent = h * np.array(mask.shape)
-    ball, K, _ = _hardy_pencil(field, delta, 0.5 * extent, 0.3 * extent.max())
+    ball = _ball(grid, 0.5 * extent, 0.3 * extent.max())
+    K, _ = _hardy_pencil(field, ball, delta)
     _, closed = _outer_faces(form.faces, ball)
     assert closed.min() < closed.max()
     c = np.maximum(np.minimum(field.values[ball], 1.0), h / 2) ** delta
@@ -485,7 +487,7 @@ def test_hardy_small_balls_match_dense_answer():
     for delta in (0.0, 1.0, 2.0):
         # 300 cells: the hierarchy is a single direct level
         ref = line_ground_value(300, delta)
-        res = _hardy_solve(field, delta, (0.0,), 1.0, 1e-6, 200)
+        res = _hardy_solve(field, _ball(field.grid, (0.0,), 1.0), delta, 1e-6, 200)
         assert res.levels == 1
         assert abs(res.quotient - ref) <= 1e-8 * ref
         # one cell at distance x, both faces closed: 4 c / h over h x^(delta-2)
@@ -499,13 +501,14 @@ def test_hardy_quotient_meets_its_stop_rule():
     # still meets the rule on a fresh residual; otherwise the solve raises
     field = line_field(10_000)
     for delta in (0.5, 1.0):
-        idx, K, mass = _hardy_pencil(field, delta, (0.0,), 2.0)
+        ball = _ball(field.grid, (0.0,), 2.0)
+        K, mass = _hardy_pencil(field, ball, delta)
         for tol in (1e-14, 1e-16, 1e-18):
             try:
-                sol = _hardy_solve(field, delta, (0.0,), 2.0, tol, 200)
+                sol = _hardy_solve(field, ball, delta, tol, 200)
             except SolverDiverged:
                 continue
-            b, v = sol.quotient, sol.vector.ravel()[idx]
+            b, v = sol.quotient, sol.vector
             res = K @ v - b * mass * v
             assert res @ (res / mass) <= tol * b * b
 
@@ -585,7 +588,7 @@ def test_hardy_2d_matches_dense_eigensolver():
 
 def test_hardy_vector_consistency():
     field = line_field(4000)
-    res = _hardy_solve(field, 0.5, (0.0,), 1.0, 1e-6, 200)
+    res = _hardy_solve(field, _ball(field.grid, (0.0,), 1.0), 0.5, 1e-6, 200)
     b, vec = res.quotient, res.vector
     x = field.grid.axis_centers(0)
     mass = field.grid.h * np.maximum(x, field.grid.h / 2) ** (0.5 - 2.0)
@@ -614,6 +617,32 @@ def test_hardy_region_growth_lowers_quotient(koch128):
 def test_hardy_empty_region_raises(koch128):
     with pytest.raises(EmptyRegion):
         hardy_quotient(koch128, 0.5, (50.0, 50.0), 0.1)
+
+
+BALL_MEASUREMENTS = {
+    "hardy": lambda f: hardy_quotient(f, 1.0, (0.5, 0.05), 0.05),
+    "collar": lambda f: collar_integral(f, 1.0, (0.5, 0.05), 0.05, 0.01),
+    "uniformity": lambda f: uniformity_estimate(f, (0.5, 0.05), 0.05, n_pairs=4),
+}
+
+
+@pytest.mark.parametrize("measure", BALL_MEASUREMENTS.values(), ids=BALL_MEASUREMENTS.keys())
+def test_ball_measurements_memory_is_bounded(measure):
+    # a 2,000-cell ball on a 512 x 512 square: the ball's mask peaks at one
+    # float per grid cell (9 bytes a cell), and all other work is ball-sized;
+    # grid-sized index, coordinate or vector arrays break the 12-byte bound
+    n = 512
+    grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
+    edge = np.minimum(grid.axis_centers(0), 1.0 - grid.axis_centers(0))
+    field = DistanceField(grid, np.minimum(edge[:, None], edge[None, :]), 0.0, np.sqrt(2.0))
+    measure(field)  # scipy's imports, outside the trace
+    tracemalloc.start()
+    try:
+        measure(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * grid.n_cells
 
 
 # --- collar integrals --------------------------------------------------------------

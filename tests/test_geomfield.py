@@ -380,12 +380,14 @@ def test_uniformity_disk():
     df = distance_field(geom, grid)
     sigma = uniformity_estimate(df, z=np.array([1.0, 0.0]), R=0.5, n_pairs=16, seed=1)
     assert sigma <= 4.0
+    assert sigma.hex() == "0x1.15a98c8a58e50p+0"
 
 
 def test_uniformity_koch_vertex(koch256):
     _, df = koch256
     sigma = uniformity_estimate(df, z=np.array([0.0, 0.0]), R=0.2, n_pairs=100, seed=2)
     assert sigma < 20.0
+    assert sigma.hex() == "0x1.09e3ecac6f384p+1"
 
 
 def test_uniformity_vicsek_grows_with_resolution():
@@ -400,6 +402,17 @@ def test_uniformity_vicsek_grows_with_resolution():
         sigmas.append(uniformity_estimate(df, z, R=0.15, n_pairs=24, seed=5, sigma_max=1e6))
     assert sigmas[0] < sigmas[-1]
     assert sigmas[1] <= sigmas[2]
+    assert [s.hex() for s in sigmas] == [
+        "0x1.a5021c7bfe431p+3", "0x1.374d6abb71b2dp+4", "0x1.4fd7eb4b4a7a6p+5"]
+
+
+def test_uniformity_cantor_3d_ball():
+    # a 3-D ball around the centre of a dust: its graph joins each cell to
+    # its 26 king-move neighbours
+    geom = cantor_dust(0.3, 3, 2)
+    df = distance_field(geom, build_grid(geom, 24, margin=0.2))
+    sigma = uniformity_estimate(df, z=np.array([0.5, 0.5, 0.5]), R=0.3, n_pairs=8, seed=3)
+    assert sigma.hex() == "0x1.2387a6e756238p+0"
 
 
 def test_uniformity_disconnected():
