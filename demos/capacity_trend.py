@@ -36,7 +36,7 @@ def main():
         field = distance_field(geom, build_grid(geom, res))
         row = []
         for delta in (0.5, 2.0):
-            out = capacity_relaxed(field, delta, None, 8 * field.grid.h, cg_tol=1e-6)
+            out = capacity_relaxed(field, delta, 8 * field.grid.h, cg_tol=1e-6)
             values[(delta, res)] = out.value
             row.append(out.value)
         print(f"{res:>10}      {row[0]:>9.5f}    {row[1]:>9.5f}")

@@ -184,7 +184,7 @@ def _outputs(result) -> dict:
 def _capacity(args, grid, build_field, params):
     eps = _parse_length(args.eps, grid.h)
     _check_capacity(grid.h, eps, args.cg_tol)
-    res = capacity_relaxed(build_field(), args.delta, None, eps, cg_tol=args.cg_tol)
+    res = capacity_relaxed(build_field(), args.delta, eps, cg_tol=args.cg_tol)
     return _outputs(res), {"cg_tol": args.cg_tol}, 0
 
 
@@ -260,7 +260,7 @@ def _trend_cell(field_coarse, field_fine, delta: float, eps_cells: float, cg_tol
     boundaries the form cannot see in the limit.
     """
     v_c, v_f = (
-        capacity_relaxed(f, delta, None, eps_cells * f.grid.h, cg_tol=cg_tol).value
+        capacity_relaxed(f, delta, eps_cells * f.grid.h, cg_tol=cg_tol).value
         for f in (field_coarse, field_fine)
     )
     ratio = v_c / v_f if v_f > 0 else float("inf")

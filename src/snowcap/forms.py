@@ -195,15 +195,20 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
     a level of at most _COARSE_ROWS rows is factored densely. Returns the
     levels above the coarsest, finest first, and the coarsest level's solve.
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+    if not A.diagonal().min() > 0:  # weights that underflow at large delta
+        raise SolverDiverged("a matrix row has no weight: the form's weights underflow")
     levels = []  # (A, w D^-1, P, P^T) of each level above the coarsest
     while A.shape[0] > _COARSE_ROWS:
         P, coords = _prolongator(A, coords)
         R = P.T.tocsr()
         levels.append((A, _SMOOTH_W / A.diagonal(), P, R))
         A = R @ (A @ P)
-    factor = cho_factor(A.toarray())
+    try:
+        factor = cho_factor(A.toarray())
+    except LinAlgError as err:  # weights spread too widely, e.g. 1e-262 to 1
+        raise SolverDiverged(f"coarsest multigrid level is not positive definite: {err}") from err
     return levels, lambda r: cho_solve(factor, r)
 
 
@@ -241,32 +246,14 @@ def _spd_solver(A: csr_matrix, coords: np.ndarray):
 # --- capacity test functions ---------------------------------------------------
 
 
-def _target_distances(field: DistanceField, a_mask) -> np.ndarray:
-    """Distance to the target set A: the boundary itself (None) or the
-    centers of the cells a boolean grid-shaped mask flags."""
-    if a_mask is None:
-        return field.values
-    a_mask = np.asarray(a_mask)
-    if a_mask.dtype != bool or a_mask.shape != field.grid.dims:
-        raise ValueError("target mask must be None or a boolean array of grid shape")
-    if not a_mask.any():
-        return np.full(field.grid.dims, np.inf)
-    from scipy.spatial import cKDTree
-
-    pts = field.grid.centers()
-    tree = cKDTree(pts[a_mask.ravel()])
-    d, _ = tree.query(pts)
-    return d.reshape(field.grid.dims)
-
-
-def eta_rn(field: DistanceField, a_mask, r: float, n: int) -> np.ndarray:
-    """Log-profile cutoff: 1 inside d_A <= r/n, 0 outside d_A > r, and
-    -log(d_A/r)/log n in between. Zero on out-of-domain cells."""
+def eta_rn(field: DistanceField, r: float, n: int) -> np.ndarray:
+    """Log-profile cutoff in the boundary distance d: 1 inside d <= r/n, 0
+    outside d > r, -log(d/r)/log n in between. Zero on out-of-domain cells."""
     if n < 2:
         raise ValueError("profile steepness n must be >= 2")
     if r <= 0:
         raise ValueError("outer radius r must be positive")
-    d = _target_distances(field, a_mask)
+    d = field.values
     with np.errstate(divide="ignore", invalid="ignore"):
         band = -np.log(d / r) / np.log(n)
     eta = np.where(d <= r / n, 1.0, np.clip(band, 0.0, 1.0))
@@ -275,7 +262,7 @@ def eta_rn(field: DistanceField, a_mask, r: float, n: int) -> np.ndarray:
     return eta
 
 
-def capacity_upper_eta(field: DistanceField, delta: float, a_mask, r_list, n_list) -> float:
+def capacity_upper_eta(field: DistanceField, delta: float, r_list, n_list) -> float:
     """Best explicit upper bound min over (r, n) of h(eta) + ||eta||^2.
 
     Ties break toward smaller r, then larger n (the double-infimum order).
@@ -288,7 +275,7 @@ def capacity_upper_eta(field: DistanceField, delta: float, a_mask, r_list, n_lis
     best = None
     for r in sorted(r_list):
         for n in sorted(n_list, reverse=True):
-            eta = eta_rn(field, a_mask, r, n)
+            eta = eta_rn(field, r, n)
             val = form.energy(eta) + hd * float(np.sum(eta.ravel() ** 2))
             key = (val, r, -n)
             if best is None or key < best:
@@ -326,12 +313,11 @@ def _check_capacity(h: float, eps: float, cg_tol: float) -> None:
 def capacity_relaxed(
     field: DistanceField,
     delta: float,
-    a_mask,
     eps: float,
     cg_tol: float = 1e-8,
     x0: np.ndarray | None = None,
 ) -> CapacityResult:
-    """Minimize h(psi) + ||psi||^2 over psi = 1 on the collar {d_A < eps}.
+    """Minimize h(psi) + ||psi||^2 over psi = 1 on the collar {d < eps}, d the boundary distance.
 
     The free-cell system is symmetric positive definite and solved by
     conjugate gradients preconditioned with a smoothed-aggregation
@@ -343,9 +329,8 @@ def capacity_relaxed(
     """
     grid = field.grid
     _check_capacity(grid.h, eps, cg_tol)
-    d_a = _target_distances(field, a_mask)
     mask = grid.omega_mask
-    collar = mask & (d_a < eps)
+    collar = mask & (field.values < eps)
     if not collar.any():
         raise EmptyRegion("no in-domain cell lies inside the collar")
     form = assemble_form(field, delta)
@@ -359,7 +344,8 @@ def capacity_relaxed(
     solve, levels = _spd_solver(A, np.argwhere(free))
     guess = None if x0 is None else np.asarray(x0, dtype=float).reshape(grid.dims)[free]
     sol, iters = solve(b, guess, cg_tol)
-    resid = float(np.linalg.norm(A @ sol - b) / np.linalg.norm(b))
+    bnorm = np.linalg.norm(b)  # 0 if every weight underflows; CG then returns psi = 0 exactly
+    resid = float(np.linalg.norm(A @ sol - b) / bnorm) if bnorm > 0 else 0.0
     del A, solve  # the matrix and its hierarchy, before the energy's temporaries
     psi = collar.astype(float)
     psi[free] = sol

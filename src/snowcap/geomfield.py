@@ -75,12 +75,6 @@ class Grid:
     def axis_centers(self, ax: int) -> np.ndarray:
         return self.origin[ax] + (np.arange(self.dims[ax]) + 0.5) * self.h
 
-    def centers(self) -> np.ndarray:
-        """All cell centers, shape (n_cells, d), C-order."""
-        axes = [self.axis_centers(ax) for ax in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
 
 @dataclass(frozen=True)
 class DistanceField:
@@ -402,12 +396,16 @@ def _ball(grid: Grid, z, r: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (d,):
         raise ValueError(f"z must have {d} coordinates")
-    # per-axis squared offsets broadcast over the grid, summed in axis order
-    sq = sum(
-        ((grid.axis_centers(ax) - z[ax]) ** 2).reshape([-1 if k == ax else 1 for k in range(d)])
-        for ax in range(d)
-    )
-    region = grid.omega_mask & (np.sqrt(sq, out=sq) < r)
+    # a cell within r of z lies within r of it along each axis, so the
+    # per-axis squared offsets are summed in axis order on that box alone
+    box, sq = [], 0
+    for ax in range(d):
+        off = (grid.axis_centers(ax) - z[ax]) ** 2
+        near = np.flatnonzero(np.sqrt(off) < r)  # none for a NaN r or z[ax]
+        box.append(slice(near[0], near[-1] + 1) if len(near) else slice(0))
+        sq = sq + off[box[-1]].reshape([-1 if k == ax else 1 for k in range(d)])
+    region = np.zeros(grid.dims, dtype=bool)
+    region[tuple(box)] = grid.omega_mask[tuple(box)] & (np.sqrt(sq, out=sq) < r)
     if not region.any():
         raise EmptyRegion(f"no in-domain cell within {r} of z")
     return region

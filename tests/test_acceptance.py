@@ -155,7 +155,7 @@ def test_criterion_4_cutoff_energy_scaling_laws():
     r = 0.3
     seq_flat, seq_crit = [], []
     for n in (16, 64, 256, 1024, 4096):
-        eta = eta_rn(f, None, r, n)
+        eta = eta_rn(f, r, n)
         seq_flat.append(np.log(n) ** 2 * form_flat.energy(eta))
         seq_crit.append(np.log(n) * form_crit.energy(eta))
     ratio_flat = max(seq_flat) / min(seq_flat)
@@ -183,7 +183,7 @@ def test_criterion_5_capacity_dichotomy_under_refinement():
         for res in ladder:
             geom, f = _field(f"koch13_{res}")
             x0 = _prolong(psi, f.grid.dims) if psi is not None else None
-            out = capacity_relaxed(f, delta, None, eps, cg_tol=1e-6, x0=x0)
+            out = capacity_relaxed(f, delta, eps, cg_tol=1e-6, x0=x0)
             values[(delta, res)] = out.value
             psi = out.psi
     dt = time.perf_counter() - t0

@@ -428,17 +428,46 @@ def test_empty_domain_exit_code(capsys):
 
 @pytest.mark.parametrize("records", [False, True], ids=["stdout", "records"])
 def test_result_that_is_not_json_is_refused(records, field_builds, tmp_path, capsys):
-    # at delta 400 every weight underflows: the right-hand side is 0 and the
-    # relative residual 0/0 = NaN, which JSON cannot hold
+    # at delta 2000 every collar value underflows to 0, so the log-log slope
+    # is NaN, which JSON cannot hold
     recs = tmp_path / "r.jsonl"
-    rc, out, err = run(capsys, "capacity", "--family", "koch", "--lambda", "0.3333333333",
-                       "--resolution", "32", "--delta", "400",
-                       *(["--records", str(recs)] if records else []))
+    rc, out, err = run(capsys, "collar", "--family", "koch", "--lambda", "0.3333333333",
+                       "--resolution", "32", "--delta", "2000", "--z", "0,0", "--rho", "0.6",
+                       "--taus", "0.1:0.4:3", *(["--records", str(recs)] if records else []))
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == "config"
     assert field_builds == [(28, 32)]
     assert not recs.exists()
+
+
+def test_capacity_with_underflowed_weights_has_zero_residual(capsys):
+    # at delta 400 every weight underflows: the right-hand side is 0, CG
+    # returns the exact psi = 0, and the residual is 0, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, _ = run(capsys, "capacity", "--family", "koch", "--lambda", "0.3333333333",
+                         "--resolution", "32", "--delta", "400")
+    assert rc == 0
+    assert json.loads(out)["residual"] == 0.0
+
+
+UNDERFLOWED_HARDY = {
+    "no-weight": ("400", "0.3"),  # the ball's pencil is 0: one direct level
+    "no-weight-multilevel": ("400", "0.7"),  # more than 400 cells: a hierarchy
+    "weights-1e-262-to-1": ("150", "0.3"),  # the coarse factorization fails
+}
+
+
+@pytest.mark.parametrize("delta, r", UNDERFLOWED_HARDY.values(), ids=UNDERFLOWED_HARDY.keys())
+def test_hardy_with_underflowed_weights_is_a_solver_failure(delta, r, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "hardy", "--family", "koch", "--lambda", "0.3333333333",
+                           "--resolution", "32", "--delta", delta, "--z", "0.5,0.3", "--r", r)
+    assert rc == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "solver"
 
 
 def test_solver_failure_exit_code(capsys):

@@ -71,7 +71,7 @@ walk_absorption(form, field, WalkConfig(start=(4, 4), horizon=0.1, trials=20, se
 snowcap.cli.run_subcommand(["fractal", "--family", "cantor", "--lambda", "0.25", "--d", "2",
                             "--depth", "2", "--out", sys.argv[1]])
 loaded = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
-cap = capacity_relaxed(field, 1.0, None, 2 * grid.h).value
+cap = capacity_relaxed(field, 1.0, 2 * grid.h).value
 hardy = hardy_quotient(field, 1.0, (0.0, 0.0), 0.4)
 print(json.dumps([loaded, cap, hardy]))
 """

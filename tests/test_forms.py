@@ -1,7 +1,9 @@
 """Tests for the weighted quadratic form, capacity estimates, Hardy
 quotients, and collar integrals."""
 
+import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from snowcap import (
     Grid,
     DistanceField,
     koch_snowflake,
+    cantor_dust,
     build_grid,
     distance_field,
     weight_field,
@@ -56,6 +59,12 @@ def koch128():
 
 
 @pytest.fixture(scope="module")
+def cantor96():
+    geom = cantor_dust(1 / 4, 2, 4)
+    return distance_field(geom, build_grid(geom, 96))
+
+
+@pytest.fixture(scope="module")
 def koch256():
     geom = koch_snowflake(1 / 3, 6)
     return distance_field(geom, build_grid(geom, 256))
@@ -81,13 +90,13 @@ def test_weight_field_negative_delta_raises(koch128):
 # --- form energy -------------------------------------------------------------------
 
 
-def test_square_gradient_energy_exact():
+def test_square_gradient_energy_exact(centers):
     # phi = x has unit gradient; the (res-1)/res deficit is the half-cell
     # rim the cell-centered grid cannot see, exact in dyadic arithmetic
     for res in (32, 128, 512):
         field = square_field(res)
         form = assemble_form(field, 0.0)
-        phi = field.grid.centers()[:, 0].reshape(res, res)
+        phi = centers(field.grid)[:, 0].reshape(res, res)
         assert form.energy(phi) == (res - 1) / res
 
 
@@ -137,7 +146,7 @@ def test_eta_profile_formula():
     probe = DistanceField(
         Grid((0.0,), 1.0 / 16, (5,), np.ones(5, dtype=bool)), d.copy(), 0.0, 1.0
     )
-    eta = eta_rn(probe, None, r, n)
+    eta = eta_rn(probe, r, n)
     assert eta[0] == 1.0
     assert eta[1] == 1.0
     assert abs(eta[2] - 0.5) <= 1e-12  # -log(0.1)/log(100)
@@ -146,32 +155,16 @@ def test_eta_profile_formula():
     assert ((eta >= 0) & (eta <= 1)).all()
     # profile vanishes on masked-out cells
     holed = Grid((0.0,), 1.0 / 16, (5,), np.array([1, 1, 0, 1, 1], dtype=bool))
-    eta = eta_rn(DistanceField(holed, d.copy(), 0.0, 1.0), None, r, n)
+    eta = eta_rn(DistanceField(holed, d.copy(), 0.0, 1.0), r, n)
     assert eta[2] == 0.0
     del field
 
 
-def test_eta_boolean_target():
-    field = line_field(101)
-    marked = np.zeros(101, dtype=bool)
-    marked[50] = True
-    x = field.grid.axis_centers(0)
-    eta = eta_rn(field, marked, 0.2, 10)
-    expected = np.clip(-np.log(np.abs(x - x[50]) / 0.2 + 1e-300) / np.log(10), 0, 1)
-    assert eta[50] == 1.0
-    assert np.allclose(eta, expected, atol=1e-12)
-
-
 def test_eta_parameter_validation(koch128):
     with pytest.raises(ValueError):
-        eta_rn(koch128, None, 0.3, 1)
+        eta_rn(koch128, 0.3, 1)
     with pytest.raises(ValueError):
-        eta_rn(koch128, None, -0.1, 4)
-
-
-def test_capacity_upper_empty_target_is_zero(koch128):
-    empty = np.zeros(koch128.grid.dims, dtype=bool)
-    assert capacity_upper_eta(koch128, 1.0, empty, [0.25], [16]) == 0.0
+        eta_rn(koch128, -0.1, 4)
 
 
 # --- relaxed capacity --------------------------------------------------------------
@@ -179,14 +172,14 @@ def test_capacity_upper_empty_target_is_zero(koch128):
 
 def test_capacity_monotone_in_eps(koch128):
     h = koch128.grid.h
-    vals = [capacity_relaxed(koch128, 1.0, None, k * h).value for k in (4, 8, 16)]
+    vals = [capacity_relaxed(koch128, 1.0, k * h).value for k in (4, 8, 16)]
     assert vals[0] <= vals[1] <= vals[2]
 
 
 def test_capacity_value_floor(koch128):
     h = koch128.grid.h
     eps = 6 * h
-    res = capacity_relaxed(koch128, 1.0, None, eps)
+    res = capacity_relaxed(koch128, 1.0, eps)
     n_collar = int((koch128.grid.omega_mask & (koch128.values < eps)).sum())
     assert res.value >= h * h * n_collar
     assert res.collar_eps == eps
@@ -196,14 +189,14 @@ def test_capacity_value_floor(koch128):
 def test_capacity_all_constrained(koch128):
     # collar swallows the domain: psi = 1 everywhere, value = measured area
     mask = koch128.grid.omega_mask
-    res = capacity_relaxed(koch128, 1.0, None, 2.0)
+    res = capacity_relaxed(koch128, 1.0, 2.0)
     assert res.value == koch128.grid.h ** 2 * int(mask.sum())
     assert res.solver_iters == 0
     assert (res.psi[mask] == 1.0).all()
 
 
 def test_capacity_max_principle(koch128):
-    res = capacity_relaxed(koch128, 2.0, None, 8 * koch128.grid.h)
+    res = capacity_relaxed(koch128, 2.0, 8 * koch128.grid.h)
     mask = koch128.grid.omega_mask
     collar = mask & (koch128.values < 8 * koch128.grid.h)
     assert (res.psi[collar] == 1.0).all()
@@ -214,36 +207,33 @@ def test_capacity_max_principle(koch128):
 
 def test_capacity_validation(koch128):
     with pytest.raises(ValueError):
-        capacity_relaxed(koch128, 1.0, None, koch128.grid.h)
-    empty = np.zeros(koch128.grid.dims, dtype=bool)
+        capacity_relaxed(koch128, 1.0, koch128.grid.h)
+    # every cell at distance 1 from the boundary: the collar is empty
+    far = DistanceField(koch128.grid, np.ones(koch128.grid.dims), 0.0, 1.0)
     with pytest.raises(EmptyRegion):
-        capacity_relaxed(koch128, 1.0, empty, 8 * koch128.grid.h)
-    # a target is the boundary or a boolean grid-shaped mask, nothing else
-    for bad in (empty.astype(float), empty[:-1]):
-        with pytest.raises(ValueError, match="target mask"):
-            capacity_relaxed(koch128, 1.0, bad, 8 * koch128.grid.h)
-    # the tolerance is checked before the collar: this target leaves it empty
+        capacity_relaxed(far, 1.0, 8 * koch128.grid.h)
+    # the tolerance is checked before the collar
     for cg_tol in (0.0, -1e-8, np.nan, np.inf):
         with pytest.raises(ValueError, match="cg_tol must be positive and finite"):
-            capacity_relaxed(koch128, 1.0, empty, 8 * koch128.grid.h, cg_tol=cg_tol)
+            capacity_relaxed(far, 1.0, 8 * koch128.grid.h, cg_tol=cg_tol)
     with pytest.raises(ValueError, match="two cells"):
-        capacity_relaxed(koch128, 1.0, None, np.nan)
+        capacity_relaxed(koch128, 1.0, np.nan)
 
 
 def test_upper_eta_dominates_relaxed(koch128):
     # eta_{r,n} is admissible for the relaxed problem with eps = r/n
     r, n = 0.3, 15
-    up = capacity_upper_eta(koch128, 1.0, None, [r], [n])
-    lo = capacity_relaxed(koch128, 1.0, None, r / n)
+    up = capacity_upper_eta(koch128, 1.0, [r], [n])
+    lo = capacity_relaxed(koch128, 1.0, r / n)
     assert up >= lo.value - 1e-12
 
 
 def test_capacity_nonincreasing_in_delta(koch128):
     # d <= 1 across the snowflake, so weights shrink pointwise as delta grows
     h = koch128.grid.h
-    rel = [capacity_relaxed(koch128, d, None, 8 * h).value for d in (0.5, 1.0, 2.0)]
+    rel = [capacity_relaxed(koch128, d, 8 * h).value for d in (0.5, 1.0, 2.0)]
     up = [
-        capacity_upper_eta(koch128, d, None, [0.2, 0.4], [16, 64])
+        capacity_upper_eta(koch128, d, [0.2, 0.4], [16, 64])
         for d in (0.5, 1.0, 2.0)
     ]
     assert rel[0] >= rel[1] >= rel[2]
@@ -252,11 +242,53 @@ def test_capacity_nonincreasing_in_delta(koch128):
 
 def test_capacity_warm_start_agrees(koch128):
     h = koch128.grid.h
-    cold = capacity_relaxed(koch128, 1.0, None, 8 * h, cg_tol=1e-10)
+    cold = capacity_relaxed(koch128, 1.0, 8 * h, cg_tol=1e-10)
     rng = np.random.default_rng(5)
     guess = rng.uniform(0, 1, size=koch128.grid.dims)
-    warm = capacity_relaxed(koch128, 1.0, None, 8 * h, cg_tol=1e-10, x0=guess)
+    warm = capacity_relaxed(koch128, 1.0, 8 * h, cg_tol=1e-10, x0=guess)
     assert abs(cold.value - warm.value) <= 1e-8 * cold.value
+
+
+# per delta: capacity_relaxed at eps = 8h (value and residual as float.hex,
+# CG iterations, levels), then capacity_upper_eta over r in {0.2, 0.4} and n
+# in {16, 64}; last the sha256 of eta_rn(field, 0.3, 15). Both grids' coarse
+# levels stay small enough that the BLAS thread count does not move a bit.
+CAPACITY_PINS = {
+    "koch128": (
+        {
+            0.5: ("0x1.597024a5fc8a8p-1", "0x1.5702d8813283dp-27", 11, 3,
+                  "0x1.ecc808cb53090p+1"),
+            1.0: ("0x1.50cd59a74da77p-1", "0x1.54c6c943d0c34p-29", 12, 3,
+                  "0x1.f03d95f2a3a0cp-1"),
+            2.0: ("0x1.1597958275d57p-1", "0x1.846c37789ee26p-29", 12, 3,
+                  "0x1.4169d5008c176p-3"),
+        },
+        "80452ce26fb53c606b9964e70c99dd4d7245081269faf13ce727bd7e040ef81e",
+    ),
+    "cantor96": (
+        {
+            0.5: ("0x1.f021be866e466p-1", "0x1.151edf216205fp-27", 11, 3,
+                  "0x1.315a7b284c0e8p+2"),
+            1.0: ("0x1.db82826633416p-1", "0x1.3fddf7fb5aaffp-27", 11, 3,
+                  "0x1.0384200b3359ap+0"),
+            2.0: ("0x1.669b5c1cc67a4p-1", "0x1.d60e0be927a63p-29", 12, 3,
+                  "0x1.3f36bf2623ba0p-3"),
+        },
+        "cd68e0b585cd8c64e896faf75b95ff1156a7cacffb76fe92d0eb73a5ec5742cb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CAPACITY_PINS)
+def test_capacity_layer_is_pinned(name, request):
+    field = request.getfixturevalue(name)
+    pins, eta_digest = CAPACITY_PINS[name]
+    for delta, (value, residual, iters, levels, upper) in pins.items():
+        res = capacity_relaxed(field, delta, 8 * field.grid.h)
+        assert (res.value.hex(), res.residual.hex(), res.solver_iters, res.levels) == (
+            value, residual, iters, levels)
+        assert capacity_upper_eta(field, delta, [0.2, 0.4], [16, 64]).hex() == upper
+    assert hashlib.sha256(eta_rn(field, 0.3, 15).tobytes()).hexdigest() == eta_digest
 
 
 def _line_capacity_exact(delta, eps):
@@ -287,7 +319,7 @@ def test_capacity_line_matches_closed_form(delta):
     exact = _line_capacity_exact(delta, eps)
     errs = []
     for n in (4000, 16_000, 64_000):
-        res = capacity_relaxed(line_field(n), delta, None, eps)
+        res = capacity_relaxed(line_field(n), delta, eps)
         errs.append(abs(res.value - exact) / exact)
         assert errs[-1] <= 8.0 / n
     for coarse, fine in zip(errs, errs[1:]):
@@ -546,7 +578,7 @@ def test_ball_centre_has_one_coordinate_per_axis(z, koch128):
             measure()
 
 
-def test_hardy_2d_matches_dense_eigensolver():
+def test_hardy_2d_matches_dense_eigensolver(centers):
     # independent per-cell build of the closed stiffness/mass pencil on a
     # Koch ball cut by the boundary (1398 cells): every face that does not
     # join two cells of the ball gets the closure weight 2 c_i h^(d-2)
@@ -558,8 +590,8 @@ def test_hardy_2d_matches_dense_eigensolver():
     h = grid.h
     dist = np.maximum(np.minimum(field.values, 1.0), h / 2)
     c = dist**delta
-    centers = grid.centers().reshape(grid.dims + (2,))
-    ball = grid.omega_mask & (np.linalg.norm(centers - z, axis=-1) < r)
+    pts = centers(grid).reshape(grid.dims + (2,))
+    ball = grid.omega_mask & (np.linalg.norm(pts - z, axis=-1) < r)
     cells = list(zip(*np.nonzero(ball)))
     pos = {cell: k for k, cell in enumerate(cells)}
     stiff = np.zeros((len(cells), len(cells)))
@@ -628,9 +660,9 @@ BALL_MEASUREMENTS = {
 
 @pytest.mark.parametrize("measure", BALL_MEASUREMENTS.values(), ids=BALL_MEASUREMENTS.keys())
 def test_ball_measurements_memory_is_bounded(measure):
-    # a 2,000-cell ball on a 512 x 512 square: the ball's mask peaks at one
-    # float per grid cell (9 bytes a cell), and all other work is ball-sized;
-    # grid-sized index, coordinate or vector arrays break the 12-byte bound
+    # a 2,000-cell ball on a 512 x 512 square: the ball's mask is one byte a
+    # cell and all other work is ball-sized (peaks of 6.1, 1.2 and 5.5 bytes a
+    # cell); grid-sized index, coordinate or vector arrays break the 12-byte bound
     n = 512
     grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
     edge = np.minimum(grid.axis_centers(0), 1.0 - grid.axis_centers(0))
@@ -645,17 +677,45 @@ def test_ball_measurements_memory_is_bounded(measure):
     assert peak < 12 * grid.n_cells
 
 
+def test_ball_memory_is_its_mask():
+    # a 1,304-cell ball on a 2048 x 2048 grid: the grid-shaped bool mask is
+    # one byte a cell, and the distances are taken on the ball's bounding box
+    n = 2048
+    grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
+    tracemalloc.start()
+    try:
+        _ball(grid, (0.5, 0.5), 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * grid.n_cells
+
+
 # --- collar integrals --------------------------------------------------------------
 
 
-def test_collar_delta2_gives_region_volume(koch256):
+def test_collar_delta2_gives_region_volume(koch256, centers):
     grid = koch256.grid
-    z, rho = np.array([0.0, 0.0]), 0.5
-    region = grid.omega_mask.ravel() & (
-        np.linalg.norm(grid.centers() - z, axis=1) < rho
-    )
-    vol = collar_integral(koch256, 2.0, z, rho, 8 * grid.h)
-    assert abs(vol - grid.h**2 * int(region.sum())) <= 1e-12
+    pts = centers(grid)
+    x, y = grid.axis_centers(0), grid.axis_centers(1)
+    balls = [
+        ((0.0, 0.0), 0.5),
+        ((x[40], y[100]), x[52] - x[40]),  # cells exactly rho away along axis 0 stay out
+        ((x[0], y[-1]), 0.3),  # the box is cut by two edges of the grid
+        ((-1.5, 0.1), 1.6),  # a centre off the grid
+        ((0.0, 0.0), np.inf),  # every domain cell
+    ]
+    for z, rho in balls:
+        region = grid.omega_mask.ravel() & (np.linalg.norm(pts - z, axis=1) < rho)
+        assert (_ball(grid, z, rho).ravel() == region).all()
+        vol = collar_integral(koch256, 2.0, z, rho, 8 * grid.h)
+        assert abs(vol - grid.h**2 * int(region.sum())) <= 1e-12
+    # a NaN radius or centre coordinate holds no cell, and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z, rho in [((0.0, 0.0), np.nan), ((np.nan, 0.0), 0.5), ((0.0, np.nan), np.inf)]:
+            with pytest.raises(EmptyRegion):
+                _ball(grid, z, rho)
 
 
 def test_collar_monotonicities(koch256):

@@ -177,9 +177,8 @@ def box_oracle(pts, lo, hi):
     return np.where((near != pts).any(axis=-1), outside, inside)
 
 
-def _bruteforce(geom, grid):
+def _bruteforce(geom, pts):
     oracle = segment_oracle if geom.kind == "segments" else box_oracle
-    pts = grid.centers()
     return np.min([oracle(pts, p[0], p[1]) for p in geom.primitives], axis=0)
 
 
@@ -204,7 +203,7 @@ def test_exact_kernels_match_oracles():
         assert (np.abs(got[::3]) <= (hi - lo)[::3].min(axis=1) / 2).all()
 
 
-def test_distance_matches_bruteforce_segments():
+def test_distance_matches_bruteforce_segments(centers):
     # random segments in arbitrary order, then a Koch realization whose
     # 768 segments span several range levels and leave far-field cells deep
     # inside the curve
@@ -215,10 +214,10 @@ def test_distance_matches_bruteforce_segments():
     cases = [(segment_geometry(segs), random_grid), (koch, build_grid(koch, 64))]
     for geom, grid in cases:
         df = distance_field(geom, grid)
-        assert np.abs(df.values.ravel() - _bruteforce(geom, grid)).max() < 1e-12
+        assert np.abs(df.values.ravel() - _bruteforce(geom, centers(grid))).max() < 1e-12
 
 
-def test_distance_matches_bruteforce_boxes():
+def test_distance_matches_bruteforce_boxes(centers):
     # planar, spatial and linear dusts and crosses, with cells inside boxes
     # and far outside them
     cases = [
@@ -230,7 +229,7 @@ def test_distance_matches_bruteforce_boxes():
     for geom, res, margin in cases:
         grid = build_grid(geom, res, margin=margin)
         df = distance_field(geom, grid)
-        assert np.abs(df.values.ravel() - _bruteforce(geom, grid)).max() < 1e-12
+        assert np.abs(df.values.ravel() - _bruteforce(geom, centers(grid))).max() < 1e-12
 
 
 @pytest.mark.parametrize(
