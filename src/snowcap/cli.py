@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import SnowcapError, SolverDiverged, EmptyDomain, EmptyRegion
+from .errors import DegenerateFit, SnowcapError, SolverDiverged, EmptyDomain, EmptyRegion
 from .simsys import named_family, similarity_dimension, critical_delta, geometry_to_text
 from .geomfield import _ball, build_grid, distance_field
 from .forms import (
@@ -207,6 +207,8 @@ def _collar(args, grid, build_field, params):
     region = _ball(grid, z, rho)
     field = build_field()
     values = [_collar_sum(field, region, args.delta, t) for t in taus]
+    if min(values) == 0.0:  # the weights underflow at large delta
+        raise DegenerateFit("a collar value underflows to 0, so it has no logarithm to fit")
     slope = float(np.polyfit(np.log(taus), np.log(values), 1)[0])
     return {"slope": slope, "taus": [float(t) for t in taus], "values": values}, {}, 0
 

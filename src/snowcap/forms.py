@@ -155,10 +155,10 @@ _MAX_PCG_ITERS = 500
 _GRAM_FLOOR = 1e-8
 
 
-def _prolongator(A: csr_matrix, coords: np.ndarray):
+def _prolongator(A: csr_matrix, diag: np.ndarray, coords: np.ndarray):
     """Smoothed prolongator P = P0 - (2/3) D^-1 A P0 of the aggregates that
     group the unknowns of each 3^d block of cells, and the block coordinates
-    of the aggregates."""
+    of the aggregates. diag is D, the diagonal of A."""
     from scipy.sparse import csr_matrix
 
     n = A.shape[0]
@@ -167,7 +167,7 @@ def _prolongator(A: csr_matrix, coords: np.ndarray):
     _, first, agg = np.unique(keys, return_index=True, return_inverse=True)
     P0 = csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, len(first)))
     AP0 = A @ P0
-    AP0.data *= np.repeat(2.0 / 3.0 / A.diagonal(), np.diff(AP0.indptr))
+    AP0.data *= np.repeat(2.0 / 3.0 / diag, np.diff(AP0.indptr))
     return P0 - AP0, block[first]
 
 
@@ -197,14 +197,16 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-    if not A.diagonal().min() > 0:  # weights that underflow at large delta
+    diag = A.diagonal()
+    if not diag.min() > 0:  # weights that underflow at large delta
         raise SolverDiverged("a matrix row has no weight: the form's weights underflow")
     levels = []  # (A, w D^-1, P, P^T) of each level above the coarsest
     while A.shape[0] > _COARSE_ROWS:
-        P, coords = _prolongator(A, coords)
+        P, coords = _prolongator(A, diag, coords)
         R = P.T.tocsr()
-        levels.append((A, _SMOOTH_W / A.diagonal(), P, R))
+        levels.append((A, _SMOOTH_W / diag, P, R))
         A = R @ (A @ P)
+        diag = A.diagonal()
     try:
         factor = cho_factor(A.toarray())
     except LinAlgError as err:  # weights spread too widely, e.g. 1e-262 to 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geomfield import DistanceField
-from .forms import SparseForm, _pairs
+from .forms import SparseForm
 
 __all__ = ["WalkConfig", "WalkResult", "walk_absorption"]
 
@@ -84,10 +84,11 @@ def _u01(seed: np.uint64, counter: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Jumps:
-    """What a step of one walk reads: tables indexed by flat grid cell, and
-    the horizon."""
+    """What a step of one walk reads: tables indexed by flat grid cell, the
+    flat step of each jump direction, and the horizon."""
 
-    target: np.ndarray  # cell * 2d + slot -> neighbour cell, or -1 for a collar cell
+    offset: np.ndarray  # slot -> flat offset from a cell to its neighbour in that slot
+    absorbing: np.ndarray  # the collar cells, where a walk that lands is absorbed
     cum_head: list  # cumulative jump rates of every slot but the last, per slot
     total: np.ndarray  # total exit rate: scales the pick
     divisor: np.ndarray  # clamped rate that divides the hold, 0 for a zero rate
@@ -101,27 +102,37 @@ def _jump_tables(form: SparseForm, absorbing: np.ndarray, horizon: float) -> _Ju
     collar cells.
 
     Slot ax holds a cell's neighbour one step up axis ax and slot d + ax the
-    one a step down. A missing neighbour keeps rate 0, which no pick reaches:
-    the pick lies strictly below the total."""
+    one a step down: the neighbour in slot s is cell + offset[s]. A missing
+    neighbour keeps rate 0, which no pick reaches: the pick lies strictly
+    below the total. A cell without any rate picks the last slot, a step
+    down the last axis, so even its target, -1 at least, indexes the array.
+    The cumulative rates are summed one slot at a time, in slot order."""
     grid = form.grid
     d = grid.dim
-    flat = np.arange(grid.n_cells).reshape(grid.dims)
-    nbr = np.zeros(grid.dims + (2 * d,), dtype=np.int64)
-    rates = np.zeros(grid.dims + (2 * d,))
-    for ax, (lo, hi, both) in enumerate(_pairs(grid.omega_mask)):
-        f = form.faces[ax]
-        nbr[lo + (ax,)] = np.where(both, flat[hi], 0)
-        nbr[hi + (d + ax,)] = np.where(both, flat[lo], 0)
-        rates[..., ax] = f / grid.h**d
-        rates[hi + (d + ax,)] = f[lo] / grid.h**d
-    rates = rates.reshape(grid.n_cells, 2 * d)
-    total = rates.sum(axis=1)
+    stride = [int(np.prod(grid.dims[ax + 1:])) for ax in range(d)]
+    offset = np.array(stride + [-k for k in stride])
+    scale = grid.h**d
+    cum_head = []
+    total = None
+    for s, step in enumerate(offset):
+        f = form.faces[s % d].ravel()
+        if step > 0:
+            rate = f / scale
+        else:
+            # the face below a cell is the one above its neighbour down the
+            # axis; on the first layer that wraps to a last layer's face, 0
+            rate = np.zeros(grid.n_cells)
+            np.divide(f[:step], scale, out=rate[-step:])
+        if total is not None:
+            cum_head.append(total)
+            rate += total
+        total = rate
     clamped = total > _RATE_CAP
     capped = np.minimum(total, _RATE_CAP)
-    nbr[absorbing[nbr]] = -1
     return _Jumps(
-        target=nbr.ravel(),
-        cum_head=list(np.cumsum(rates[:, :-1], axis=1).T.copy()),
+        offset=offset,
+        absorbing=absorbing,
+        cum_head=cum_head,
         total=total,
         divisor=np.where(capped > 0, np.maximum(capped, 1e-300), 0.0),
         clamped=clamped,
@@ -136,7 +147,6 @@ def _advance(jumps: _Jumps, cell, t, hold, pick):
     Returns the block columns still live (None if all are), their cells
     and times, and the holds drawn, clamped holds and absorptions.
     """
-    deg = len(jumps.cum_head) + 1
     sel = None
     steps = clamps = absorbed = 0
     for e, p in zip(hold, pick):
@@ -149,14 +159,14 @@ def _advance(jumps: _Jumps, cell, t, hold, pick):
         # a zero rate divides to an infinite (or NaN) hold: the trial times out
         t += e / jumps.divisor[cell]
         live = t <= jumps.horizon
-        # cumulative rates rise along a row, so the slots before the last
-        # that the pick reaches number the slot, capped at deg - 1
+        # cumulative rates rise along a cell's slots, so the slots before
+        # the last that the pick reaches number the slot, capped at 2d - 1
         p = p * jumps.total[cell]
-        slot = cell * deg
+        slot = np.zeros(m, dtype=np.intp)
         for c in jumps.cum_head:
             slot += c[cell] <= p
-        cell = jumps.target[slot]
-        keep = live & (cell >= 0)
+        cell = cell + jumps.offset[slot]
+        keep = live & ~jumps.absorbing[cell]
         n_keep = int(np.count_nonzero(keep))
         absorbed += int(np.count_nonzero(live)) - n_keep
         if n_keep == m:

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,16 +428,37 @@ def test_empty_domain_exit_code(capsys):
 
 
 @pytest.mark.parametrize("records", [False, True], ids=["stdout", "records"])
-def test_result_that_is_not_json_is_refused(records, field_builds, tmp_path, capsys):
-    # at delta 2000 every collar value underflows to 0, so the log-log slope
-    # is NaN, which JSON cannot hold
+def test_result_that_is_not_json_is_refused(records, field_builds, tmp_path, capsys,
+                                            monkeypatch):
+    # a NaN capacity, which JSON cannot hold
+    solve = snowcap.cli.capacity_relaxed
+    monkeypatch.setattr(snowcap.cli, "capacity_relaxed",
+                        lambda *a, **kw: replace(solve(*a, **kw), value=float("nan")))
     recs = tmp_path / "r.jsonl"
-    rc, out, err = run(capsys, "collar", "--family", "koch", "--lambda", "0.3333333333",
-                       "--resolution", "32", "--delta", "2000", "--z", "0,0", "--rho", "0.6",
-                       "--taus", "0.1:0.4:3", *(["--records", str(recs)] if records else []))
+    rc, out, err = run(capsys, "capacity", "--family", "koch", "--lambda", "0.3333333333",
+                       "--resolution", "32", "--delta", "1",
+                       *(["--records", str(recs)] if records else []))
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == "config"
+    assert field_builds == [(28, 32)]
+    assert not recs.exists()
+
+
+def test_collar_that_underflows_is_a_degenerate_fit(field_builds, tmp_path, capsys):
+    # at delta 2000 every collar value underflows to 0, which has no
+    # logarithm: a typed failure, raised before the log is taken
+    recs = tmp_path / "r.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "collar", "--family", "koch", "--lambda", "0.3333333333",
+                           "--resolution", "32", "--delta", "2000", "--z", "0,0", "--rho", "0.6",
+                           "--taus", "0.1:0.4:3", "--records", str(recs))
+    assert rc == 2
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "DegenerateFit"
+    assert "underflows" in err["message"]
     assert field_builds == [(28, 32)]
     assert not recs.exists()
 

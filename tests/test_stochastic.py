@@ -1,5 +1,7 @@
 """Tests for the absorbed continuous-time random walk."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, diags
@@ -147,6 +149,25 @@ def test_line_layouts_agree():
     assert out[0] == out[1] == out[2]
 
 
+def test_jump_table_memory_is_bounded():
+    # what a walk keeps is 41 bytes a cell on a 2-D grid: three cumulative
+    # rates, the total and the hold divisor (8 each) and the clamp flags; a
+    # jump's target is the cell plus its slot's flat offset, so no table of
+    # neighbours is built. Measured peak: 58 bytes a cell
+    n = 512
+    grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
+    field = DistanceField(grid, np.ones((n, n)), 0.0, 1.0)
+    form = assemble_form(field, 0.0)
+    absorbing = field.values.ravel() < 3.0 / n
+    tracemalloc.start()
+    try:
+        stochastic._jump_tables(form, absorbing, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * grid.n_cells
+
+
 def _pinned_case(name, dust128):
     h = dust128.grid.h
     if name == "dust-delta0-tail":
@@ -158,6 +179,12 @@ def _pinned_case(name, dust128):
         n = 1 << 17
         df = line_field(n)
         return df, assemble_form(df, 0.0), WalkConfig(n // 2, 1e-7, 20, 3, 2.5 / n)
+    if name == "dust3d-delta1":
+        # three axes: six jump directions, each a flat offset of its own
+        geom = cantor_dust(0.25, 3, 3)
+        df = distance_field(geom, build_grid(geom, 32))
+        start = tuple(n // 2 for n in df.grid.dims)
+        return df, assemble_form(df, 1.0), WalkConfig(start, 0.1, 1000, 17, 3 * df.grid.h)
     # isolated start: domain cell 32 has no domain neighbour, so its exit
     # rate is zero
     mask = np.ones(64, dtype=bool)
@@ -167,10 +194,12 @@ def _pinned_case(name, dust128):
 
 
 # (p_hat, absorbed, clamp_events) and the holds drawn, recorded with the
-# one-step-per-round walk that preceded the compacted multi-step rounds
+# one-step-per-round walk that preceded the compacted multi-step rounds; the
+# 3-D case with the walk that stored each cell's neighbours in a table
 PINNED_WALKS = {
     "dust-delta0-tail": (0.9993333333333333, 2998, 0, 272371),
     "dust-delta2": (0.228, 684, 0, 215952),
+    "dust3d-delta1": (0.162, 162, 0, 159542),
     "rate-clamp": (0.0, 0, 225, 225),
     "isolated-start": (0.0, 0, 0, 50),
 }
