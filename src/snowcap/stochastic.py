@@ -19,6 +19,12 @@ from .forms import SparseForm
 __all__ = ["WalkConfig", "WalkResult", "walk_absorption"]
 
 _RATE_CAP = 1e8
+# A hold divides its exponential draw (below 37) by the exit rate held at
+# least this large, so a tiny positive rate gives a finite hold
+_HOLD_FLOOR = 1e-300
+# Trial t draws from counters (t << 41) | k: the counters of 2^23 trials
+# fill the uint64 range, and trial 2^23 would replay trial 0
+_MAX_TRIALS = 1 << 23
 # Draws hashed per lockstep round: a round advances every live trial by
 # max(1, _ROUND_DRAWS // live) steps.
 _ROUND_DRAWS = 2048
@@ -28,9 +34,9 @@ _ROUND_DRAWS = 2048
 class WalkConfig:
     """Parameters of an absorbed-walk experiment.
 
-    start     cell index (flat, or a grid multi-index tuple)
+    start     cell index (flat, or a grid multi-index tuple), integral
     horizon   diffusion-time budget T, positive and finite
-    trials    number of independent trajectories
+    trials    number of independent trajectories, 1 to 2^23
     seed      base seed; every (trial, step) draw comes from its own
               counter-indexed substream, so trials are independent and
               results do not depend on execution order or batching
@@ -48,6 +54,8 @@ class WalkConfig:
             raise ValueError("horizon must be positive and finite")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"at most {_MAX_TRIALS} trials, so that no two share draws")
         if not self.absorb_eps > 0:
             raise ValueError("absorb_eps must be positive")
 
@@ -85,21 +93,22 @@ def _u01(seed: np.uint64, counter: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Jumps:
     """What a step of one walk reads: tables indexed by flat grid cell, the
-    flat step of each jump direction, and the horizon."""
+    flat step of each jump direction, and the horizon. The hold divides by
+    the total exit rate, held to [_HOLD_FLOOR, _RATE_CAP] where positive;
+    `held` says whether any total lies outside those bounds."""
 
     offset: np.ndarray  # slot -> flat offset from a cell to its neighbour in that slot
     absorbing: np.ndarray  # the collar cells, where a walk that lands is absorbed
     cum_head: list  # cumulative jump rates of every slot but the last, per slot
-    total: np.ndarray  # total exit rate: scales the pick
-    divisor: np.ndarray  # clamped rate that divides the hold, 0 for a zero rate
-    clamped: np.ndarray  # total above _RATE_CAP
-    any_clamped: bool
+    total: np.ndarray  # total exit rate: scales the pick and divides the hold
+    held: bool  # some total is above _RATE_CAP, or positive and below _HOLD_FLOOR
     horizon: float
 
 
 def _jump_tables(form: SparseForm, absorbing: np.ndarray, horizon: float) -> _Jumps:
     """Tables over the flat cells of the form's grid; absorbing flags their
-    collar cells.
+    collar cells. A 2-D grid keeps 32 bytes a cell: three cumulative rates
+    and the total.
 
     Slot ax holds a cell's neighbour one step up axis ax and slot d + ax the
     one a step down: the neighbour in slot s is cell + offset[s]. A missing
@@ -127,25 +136,20 @@ def _jump_tables(form: SparseForm, absorbing: np.ndarray, horizon: float) -> _Ju
             cum_head.append(total)
             rate += total
         total = rate
-    clamped = total > _RATE_CAP
-    capped = np.minimum(total, _RATE_CAP)
-    return _Jumps(
-        offset=offset,
-        absorbing=absorbing,
-        cum_head=cum_head,
-        total=total,
-        divisor=np.where(capped > 0, np.maximum(capped, 1e-300), 0.0),
-        clamped=clamped,
-        any_clamped=bool(clamped.any()),
-        horizon=horizon,
-    )
+    held = bool(total.max() > _RATE_CAP
+                or np.min(total, where=total > 0, initial=np.inf) < _HOLD_FLOOR)
+    return _Jumps(offset=offset, absorbing=absorbing, cum_head=cum_head, total=total,
+                  held=held, horizon=horizon)
 
 
 def _advance(jumps: _Jumps, cell, t, hold, pick):
     """Advance a block of trials in lockstep, one step per row of hold/pick.
 
-    Returns the block columns still live (None if all are), their cells
-    and times, and the holds drawn, clamped holds and absorptions.
+    Each step gathers the cells' total exit rates once: they scale the pick
+    and divide the hold, held to their bounds only when the tables say some
+    total lies outside them. Returns the block columns still live (None if
+    all are), their cells and times, and the holds drawn, clamped holds and
+    absorptions.
     """
     sel = None
     steps = clamps = absorbed = 0
@@ -154,14 +158,17 @@ def _advance(jumps: _Jumps, cell, t, hold, pick):
             e, p = e[sel], p[sel]
         m = cell.size
         steps += m
-        if jumps.any_clamped:
-            clamps += int(np.count_nonzero(jumps.clamped[cell]))
+        total = rate = jumps.total[cell]
+        if jumps.held:
+            clamps += int(np.count_nonzero(total > _RATE_CAP))
+            capped = np.minimum(total, _RATE_CAP)
+            rate = np.where(capped > 0, np.maximum(capped, _HOLD_FLOOR), 0.0)
         # a zero rate divides to an infinite (or NaN) hold: the trial times out
-        t += e / jumps.divisor[cell]
+        t += e / rate
         live = t <= jumps.horizon
         # cumulative rates rise along a cell's slots, so the slots before
         # the last that the pick reaches number the slot, capped at 2d - 1
-        p = p * jumps.total[cell]
+        p = p * total
         slot = np.zeros(m, dtype=np.intp)
         for c in jumps.cum_head:
             slot += c[cell] <= p
@@ -178,14 +185,26 @@ def _advance(jumps: _Jumps, cell, t, hold, pick):
     return sel, cell, t, steps, clamps, absorbed
 
 
+def _integral(k) -> int:
+    """k as an int; a start index that is not integral is refused, not truncated."""
+    try:
+        i = int(k)
+    except (OverflowError, ValueError):  # inf, nan
+        i = None
+    if i is None or i != k:
+        raise ValueError(f"start index {k!r} is not integral")
+    return i
+
+
 def _start_index(grid, cfg: WalkConfig) -> int:
     """Flat index of the start cell, once cfg passes the checks made on the grid."""
     if cfg.absorb_eps < 2.0 * grid.h:
         raise ValueError("absorb_eps must span at least two cells")
     start = cfg.start
-    if not np.isscalar(start):
-        start = np.ravel_multi_index(tuple(int(k) for k in start), grid.dims)
-    start = int(start)
+    if np.isscalar(start):
+        start = _integral(start)
+    else:
+        start = int(np.ravel_multi_index(tuple(_integral(k) for k in start), grid.dims))
     if not (0 <= start < grid.n_cells) or not grid.omega_mask.ravel()[start]:
         raise ValueError("start cell must be inside the domain")
     return start

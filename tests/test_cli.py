@@ -273,6 +273,8 @@ _CG_TOL = "cg_tol must be positive and finite"
 # argv, error message and, where it is not "config", the error code
 REFUSED = {
     "walk-trials-0": ([*_WALK, "--trials", "0"], "need at least one trial"),
+    "walk-trials-2^23+1": ([*_WALK, "--trials", str(2**23 + 1)],
+                           "at most 8388608 trials, so that no two share draws"),
     "walk-horizon-inf": ([*_WALK, "--horizon", "inf"], "horizon must be positive and finite"),
     "walk-horizon-nan": ([*_WALK, "--horizon", "nan"], "horizon must be positive and finite"),
     "walk-absorb-eps": ([*_WALK, "--absorb-eps", "1h"], "absorb_eps must span at least two cells"),

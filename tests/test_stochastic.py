@@ -108,6 +108,11 @@ def test_config_validation(line64):
             WalkConfig(32, horizon, 100, 1, 0.05)
     with pytest.raises(ValueError):
         WalkConfig(32, 1.0, 0, 1, 0.05)
+    # trial t draws from the counters (t << 41) | k, which wrap at t = 2^23;
+    # the configs are only built, never walked
+    assert WalkConfig(32, 1.0, 2**23, 1, 0.05).trials == 2**23
+    with pytest.raises(ValueError, match="at most 8388608 trials"):
+        WalkConfig(32, 1.0, 2**23 + 1, 1, 0.05)
     with pytest.raises(ValueError):
         WalkConfig(32, 1.0, 100, 1, 0.0)
     with pytest.raises(ValueError):
@@ -116,6 +121,21 @@ def test_config_validation(line64):
         walk_absorption(form, df, WalkConfig(1, 1.0, 10, 1, 10 / 64))
     with pytest.raises(ValueError):
         walk_absorption(form, df, WalkConfig(-3, 1.0, 10, 1, 3 / 64))
+
+
+def test_start_must_be_integral(dust128):
+    # a start is a cell index, flat or per axis: a fraction is refused, not
+    # truncated, while integer-valued numpy scalars name their cell
+    h = dust128.grid.h
+    form = assemble_form(dust128, 0.0)
+    flat = 16 * 128 + 16
+    for start in ((16.9, 16.2), (16, np.float64(16.5)), flat + 0.7):
+        with pytest.raises(ValueError, match="not integral"):
+            walk_absorption(form, dust128, WalkConfig(start, 0.3, 10, 1, 4 * h))
+    results = [walk_absorption(form, dust128, WalkConfig(start, 0.3, 50, 1, 4 * h))
+               for start in ((16, 16), (np.int64(16), np.int32(16)), np.int64(flat),
+                             np.float64(flat))]
+    assert all(res == results[0] for res in results)
 
 
 def test_grid_mismatch_raises(line64, dust128):
@@ -150,10 +170,11 @@ def test_line_layouts_agree():
 
 
 def test_jump_table_memory_is_bounded():
-    # what a walk keeps is 41 bytes a cell on a 2-D grid: three cumulative
-    # rates, the total and the hold divisor (8 each) and the clamp flags; a
-    # jump's target is the cell plus its slot's flat offset, so no table of
-    # neighbours is built. Measured peak: 58 bytes a cell
+    # what a walk keeps is 32 bytes a cell on a 2-D grid: three cumulative
+    # rates and the total, 8 each. A jump's target is the cell plus its
+    # slot's flat offset, and the hold's divisor and clamp count are derived
+    # from the total at each step, so neither is a table. Measured peak: 33
+    # bytes a cell, with the mask that looks for totals below the hold floor
     n = 512
     grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
     field = DistanceField(grid, np.ones((n, n)), 0.0, 1.0)
@@ -165,7 +186,7 @@ def test_jump_table_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * grid.n_cells
+    assert peak <= 40 * grid.n_cells
 
 
 def _pinned_case(name, dust128):
@@ -185,6 +206,16 @@ def _pinned_case(name, dust128):
         df = distance_field(geom, build_grid(geom, 32))
         start = tuple(n // 2 for n in df.grid.dims)
         return df, assemble_form(df, 1.0), WalkConfig(start, 0.1, 1000, 17, 3 * df.grid.h)
+    if name == "plateau-delta400":
+        # a line whose free cells all lie 0.162 from the boundary, between
+        # two collars: at delta 400 their exit rates are about 5e-313, and
+        # each hold divides by the floor 1e-300 instead
+        n = 64
+        values = np.zeros(n)
+        values[24:41] = 0.162
+        df = DistanceField(Grid((0.0,), 1.0 / n, (n,), np.ones(n, dtype=bool)), values,
+                           0.0, 1.0)
+        return df, assemble_form(df, 400.0), WalkConfig(32, 5e301, 500, 23, 2.0 / n)
     # isolated start: domain cell 32 has no domain neighbour, so its exit
     # rate is zero
     mask = np.ones(64, dtype=bool)
@@ -195,13 +226,15 @@ def _pinned_case(name, dust128):
 
 # (p_hat, absorbed, clamp_events) and the holds drawn, recorded with the
 # one-step-per-round walk that preceded the compacted multi-step rounds; the
-# 3-D case with the walk that stored each cell's neighbours in a table
+# 3-D case with the walk that stored each cell's neighbours in a table, the
+# plateau with the walk that stored each cell's hold divisor in a table
 PINNED_WALKS = {
     "dust-delta0-tail": (0.9993333333333333, 2998, 0, 272371),
     "dust-delta2": (0.228, 684, 0, 215952),
     "dust3d-delta1": (0.162, 162, 0, 159542),
     "rate-clamp": (0.0, 0, 225, 225),
     "isolated-start": (0.0, 0, 0, 50),
+    "plateau-delta400": (0.318, 159, 0, 22047),
 }
 
 
