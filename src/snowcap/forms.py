@@ -40,7 +40,9 @@ __all__ = [
 
 
 def _clamped(dist: np.ndarray, h: float) -> np.ndarray:
-    return np.maximum(np.minimum(dist, 1.0), h / 2.0)
+    """dist capped at 1 and floored at h/2, in one new array."""
+    out = np.minimum(dist, 1.0)
+    return np.maximum(out, h / 2.0, out=out)
 
 
 def _check_delta(delta: float) -> None:
@@ -53,9 +55,12 @@ def weight_field(field: DistanceField, delta: float) -> np.ndarray:
 
     The distance is capped at 1 (far-field weight is 1) and floored at h/2
     so boundary-adjacent cells keep a positive weight of the right order.
+    Computed in one array: the clamp, then the power in place.
     """
     _check_delta(delta)
-    return _clamped(field.values, field.grid.h) ** delta
+    c = _clamped(field.values, field.grid.h)
+    c **= delta
+    return c
 
 
 def _pairs(mask: np.ndarray):
@@ -88,10 +93,14 @@ class SparseForm:
 
 def _faces(c: np.ndarray, mask: np.ndarray, h: float) -> tuple:
     """Face weights h^(d-2) * (c_k + c_{k+e_ax}) / 2 of the grid-shaped cell
-    weights c, per axis, 0 where either side is outside mask."""
+    weights c, per axis, 0 where either side is outside mask. Each face is
+    written in place: the sum, the scale, then the zeros."""
     faces = tuple(np.zeros(c.shape) for _ in range(c.ndim))
     for f, (lo, hi, both) in zip(faces, _pairs(mask)):
-        f[lo] = np.where(both, h ** (c.ndim - 2) * 0.5 * (c[lo] + c[hi]), 0.0)
+        face = f[lo]
+        np.add(c[lo], c[hi], out=face)
+        face *= h ** (c.ndim - 2) * 0.5
+        np.copyto(face, 0.0, where=~both)
     return faces
 
 

@@ -48,7 +48,7 @@ class ExperimentRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
-        raw = json.loads(line)
+        raw = _record_object(line)
         rec = cls(**{f.name: raw[_JSON_NAMES.get(f.name, f.name)] for f in fields(cls)})
         s_check = similarity_dimension(named_family(rec.family).system(rec.lam, rec.dim))
         if abs(s_check - rec.s) > _VALIDATION_TOL:
@@ -73,6 +73,15 @@ def derive_seed(top_seed: int, rid: str) -> int:
     """Expand one top-level seed into a per-experiment 63-bit seed."""
     digest = hashlib.sha256(f"{top_seed}:{rid}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _record_object(line: str) -> dict:
+    """The JSON object on a record line; a line that holds other JSON, such
+    as a list or a number, is refused with a ValueError that names it."""
+    raw = json.loads(line)
+    if not isinstance(raw, dict):
+        raise ValueError(f"record line is not a JSON object: {line[:80]!r}")
+    return raw
 
 
 def _parses(line: str) -> bool:
@@ -134,4 +143,4 @@ def load_ids(path: str) -> set[str]:
         lines = _stream_lines(path)
     except FileNotFoundError:
         return set()
-    return {json.loads(line)["id"] for line in lines}
+    return {_record_object(line)["id"] for line in lines}

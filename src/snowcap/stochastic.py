@@ -36,7 +36,7 @@ class WalkConfig:
 
     start     cell index (flat, or a grid multi-index tuple), integral
     horizon   diffusion-time budget T, positive and finite
-    trials    number of independent trajectories, 1 to 2^23
+    trials    number of independent trajectories, an integer from 1 to 2^23
     seed      base seed; every (trial, step) draw comes from its own
               counter-indexed substream, so trials are independent and
               results do not depend on execution order or batching
@@ -52,6 +52,8 @@ class WalkConfig:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
+        if not isinstance(self.trials, (int, np.integer)):
+            raise ValueError(f"trial count {self.trials!r} is not an integer")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.trials > _MAX_TRIALS:
@@ -92,92 +94,99 @@ def _u01(seed: np.uint64, counter: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Jumps:
-    """What a step of one walk reads: tables indexed by flat grid cell, the
-    flat step of each jump direction, and the horizon. The hold divides by
-    the total exit rate, held to [_HOLD_FLOOR, _RATE_CAP] where positive;
-    `held` says whether any total lies outside those bounds."""
+    """What a step of one walk reads: the jump rates indexed by flat grid
+    cell, the flat step of each jump direction, and the horizon. A step sums
+    a cell's rates in slot order to its total exit rate; the hold divides by
+    that total, held to [_HOLD_FLOOR, _RATE_CAP] where positive, and `held`
+    says whether any total lies outside those bounds."""
 
     offset: np.ndarray  # slot -> flat offset from a cell to its neighbour in that slot
-    absorbing: np.ndarray  # the collar cells, where a walk that lands is absorbed
-    cum_head: list  # cumulative jump rates of every slot but the last, per slot
-    total: np.ndarray  # total exit rate: scales the pick and divides the hold
+    open: np.ndarray  # the cells outside the collar: a walk that lands elsewhere is absorbed
+    rates: list  # per slot, the rate of the jump in that slot: views on per-axis buffers
     held: bool  # some total is above _RATE_CAP, or positive and below _HOLD_FLOOR
     horizon: float
 
 
 def _jump_tables(form: SparseForm, absorbing: np.ndarray, horizon: float) -> _Jumps:
     """Tables over the flat cells of the form's grid; absorbing flags their
-    collar cells. A 2-D grid keeps 32 bytes a cell: three cumulative rates
-    and the total.
+    collar cells. A 2-D grid keeps 16 bytes a cell: one buffer per axis,
+    stride[ax] zeros followed by that axis's faces over h^d.
 
     Slot ax holds a cell's neighbour one step up axis ax and slot d + ax the
-    one a step down: the neighbour in slot s is cell + offset[s]. A missing
-    neighbour keeps rate 0, which no pick reaches: the pick lies strictly
-    below the total. A cell without any rate picks the last slot, a step
-    down the last axis, so even its target, -1 at least, indexes the array.
-    The cumulative rates are summed one slot at a time, in slot order."""
+    one a step down: the neighbour in slot s is cell + offset[s]. The up
+    rates are the view buf[stride:], the face above each cell, and the down
+    rates the view buf[:n], the face above the neighbour below; on a first
+    layer along the axis that is a padding zero or a last layer's face, 0
+    too. A missing neighbour keeps rate 0, which no pick reaches: the pick
+    lies strictly below the total. A cell without any rate picks the last
+    slot, a step down the last axis, so even its target, -1 at least,
+    indexes the array. The totals are summed once here, in slot order, to
+    set `held`, and then freed."""
     grid = form.grid
-    d = grid.dim
+    d, n = grid.dim, grid.n_cells
     stride = [int(np.prod(grid.dims[ax + 1:])) for ax in range(d)]
     offset = np.array(stride + [-k for k in stride])
-    scale = grid.h**d
-    cum_head = []
-    total = None
-    for s, step in enumerate(offset):
-        f = form.faces[s % d].ravel()
-        if step > 0:
-            rate = f / scale
-        else:
-            # the face below a cell is the one above its neighbour down the
-            # axis; on the first layer that wraps to a last layer's face, 0
-            rate = np.zeros(grid.n_cells)
-            np.divide(f[:step], scale, out=rate[-step:])
-        if total is not None:
-            cum_head.append(total)
-            rate += total
-        total = rate
+    up, down = [], []
+    for k, f in zip(stride, form.faces):
+        buf = np.zeros(k + n)
+        np.divide(f.ravel(), grid.h**d, out=buf[k:])
+        up.append(buf[k:])
+        down.append(buf[:n])
+    rates = up + down
+    total = rates[0] + rates[1]
+    for rate in rates[2:]:
+        total += rate
     held = bool(total.max() > _RATE_CAP
                 or np.min(total, where=total > 0, initial=np.inf) < _HOLD_FLOOR)
-    return _Jumps(offset=offset, absorbing=absorbing, cum_head=cum_head, total=total,
-                  held=held, horizon=horizon)
+    del total
+    return _Jumps(offset=offset, open=~absorbing, rates=rates, held=held, horizon=horizon)
 
 
 def _advance(jumps: _Jumps, cell, t, hold, pick):
-    """Advance a block of trials in lockstep, one step per row of hold/pick.
+    """Advance a block of trials in lockstep, one step per row of hold/pick;
+    a hold row holds log1p(-u), the negated exponential draws.
 
-    Each step gathers the cells' total exit rates once: they scale the pick
-    and divide the hold, held to their bounds only when the tables say some
+    Each step gathers the cells' rates slot by slot and sums them in slot
+    order: the partial sums are the cumulative rates the pick is compared
+    with, and the last is the total exit rate, which scales the pick and
+    divides the hold, held to its bounds only when the tables say some
     total lies outside them. Returns the block columns still live (None if
     all are), their cells and times, and the holds drawn, clamped holds and
     absorptions.
     """
     sel = None
     steps = clamps = absorbed = 0
+    first, *rest = jumps.rates
     for e, p in zip(hold, pick):
         if sel is not None:
             e, p = e[sel], p[sel]
         m = cell.size
         steps += m
-        total = rate = jumps.total[cell]
+        cum = [first[cell]]
+        for r in rest:
+            c = r[cell]
+            c += cum[-1]
+            cum.append(c)
+        total = rate = cum.pop()
         if jumps.held:
             clamps += int(np.count_nonzero(total > _RATE_CAP))
             capped = np.minimum(total, _RATE_CAP)
             rate = np.where(capped > 0, np.maximum(capped, _HOLD_FLOOR), 0.0)
         # a zero rate divides to an infinite (or NaN) hold: the trial times out
-        t += e / rate
+        t -= e / rate
         live = t <= jumps.horizon
         # cumulative rates rise along a cell's slots, so the slots before
         # the last that the pick reaches number the slot, capped at 2d - 1
         p = p * total
-        slot = np.zeros(m, dtype=np.intp)
-        for c in jumps.cum_head:
-            slot += c[cell] <= p
+        slot = (cum[0] <= p).astype(np.intp)
+        for c in cum[1:]:
+            slot += c <= p
         cell = cell + jumps.offset[slot]
-        keep = live & ~jumps.absorbing[cell]
+        keep = live & jumps.open[cell]
         n_keep = int(np.count_nonzero(keep))
-        absorbed += int(np.count_nonzero(live)) - n_keep
         if n_keep == m:
             continue
+        absorbed += int(np.count_nonzero(live)) - n_keep
         cell, t = cell[keep], t[keep]
         sel = np.flatnonzero(keep) if sel is None else sel[keep]
         if not n_keep:
@@ -255,7 +264,7 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
             u = _u01(seed, base | (lanes[:, :k, None] + np.uint64(2 * step)))
             step += k
             sel, cell, t, n_steps, n_clamps, n_hits = _advance(
-                jumps, cell, t, -np.log1p(-u[0]), u[1])
+                jumps, cell, t, np.log1p(-u[0]), u[1])
             if sel is not None:
                 base = base[sel]
             steps += n_steps

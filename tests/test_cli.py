@@ -616,6 +616,23 @@ def test_sweep_resumes_after_torn_final_record(tmp_path, capsys):
         load_records(out)
 
 
+@pytest.mark.parametrize("cmd", ["sweep", "report"])
+def test_record_line_that_is_not_an_object_is_refused(cmd, tmp_path, capsys):
+    # valid JSON that is not a record: resuming a sweep and loading a
+    # report refuse the line by name instead of failing on its type
+    stream = str(tmp_path / "r.jsonl")
+    assert run(capsys, *_SWEEP4, "--out", stream)[0] == 0
+    with open(stream, "a") as fh:
+        fh.write("[1, 2]\n")
+    argv = ([*_SWEEP4, "--out", stream] if cmd == "sweep"
+            else ["report", "--in", stream, "--out", str(tmp_path / "p.svg")])
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "config",
+                               "message": "record line is not a JSON object: '[1, 2]'"}
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_report_writes_csv_and_svg(sweep_stream, tmp_path, capsys):
     svg = str(tmp_path / "phase.svg")
     rc, out, _ = run(capsys, "report", "--in", sweep_stream, "--out", svg)

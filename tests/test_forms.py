@@ -326,6 +326,22 @@ def test_capacity_line_matches_closed_form(delta):
         assert 3.5 <= coarse / fine <= 4.5
 
 
+def test_form_assembly_memory_is_bounded():
+    # the form keeps its faces, 16 bytes a cell on a 2-D grid; the weights
+    # (8 bytes) and the face masks (1 byte each) are computed in place
+    # beside them, so the measured peak is 26 bytes a cell
+    n = 512
+    grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
+    field = DistanceField(grid, np.full((n, n), 0.25), 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        assemble_form(field, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * grid.n_cells
+
+
 def test_capacity_assembly_memory_is_bounded():
     # koch13 at 512 (444 x 512 cells): the form's faces and the free cells'
     # CSR hold 12 MB and the assembly peaks at 24 MB; the bound fails edge
@@ -471,6 +487,23 @@ def test_restrict_matches_coo_laplacian(mask):
     assert closed.min() < closed.max()
     c = np.maximum(np.minimum(field.values[ball], 1.0), h / 2) ** delta
     _same_csr(K, _coo_laplacian(form.faces, ball, closed * 2.0 * c * h ** (d - 2)))
+
+
+@pytest.mark.parametrize("mask", BUILDER_MASKS.values(), ids=BUILDER_MASKS.keys())
+def test_faces_match_cell_by_cell_means(mask):
+    # each face, bit for bit, is h^(d-2) * 0.5 * (c_k + c_{k+e_ax}) when both
+    # cells are in the mask and 0 otherwise, also on the last layer
+    rng = np.random.default_rng(5)
+    h, d = 0.125, mask.ndim
+    c = rng.uniform(0.1, 2.0, mask.shape)
+    faces = _faces(c, mask, h)
+    for ax, f in enumerate(faces):
+        ref = np.zeros(mask.shape)
+        for cell in zip(*np.nonzero(mask)):
+            nb = cell[:ax] + (cell[ax] + 1,) + cell[ax + 1:]
+            if nb[ax] < mask.shape[ax] and mask[nb]:
+                ref[cell] = h ** (d - 2) * 0.5 * (c[cell] + c[nb])
+        assert f.tobytes() == ref.tobytes()
 
 
 # --- Hardy quotients ---------------------------------------------------------------

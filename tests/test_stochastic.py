@@ -108,6 +108,14 @@ def test_config_validation(line64):
             WalkConfig(32, horizon, 100, 1, 0.05)
     with pytest.raises(ValueError):
         WalkConfig(32, 1.0, 0, 1, 0.05)
+    # a trial count is an integer: a float, even an integer-valued one, is
+    # refused, while integer numpy scalars are counts
+    for trials in (10.5, 10.0, np.float64(10.0), np.nan):
+        with pytest.raises(ValueError, match="not an integer"):
+            WalkConfig(32, 1.0, trials, 1, 0.05)
+    assert WalkConfig(32, 1.0, np.int64(10), 1, 0.05).trials == 10
+    assert walk_absorption(form, df, WalkConfig(32, 0.2, np.int32(40), 3, 3.0 / 64)) == (
+        walk_absorption(form, df, WalkConfig(32, 0.2, 40, 3, 3.0 / 64)))
     # trial t draws from the counters (t << 41) | k, which wrap at t = 2^23;
     # the configs are only built, never walked
     assert WalkConfig(32, 1.0, 2**23, 1, 0.05).trials == 2**23
@@ -170,11 +178,12 @@ def test_line_layouts_agree():
 
 
 def test_jump_table_memory_is_bounded():
-    # what a walk keeps is 32 bytes a cell on a 2-D grid: three cumulative
-    # rates and the total, 8 each. A jump's target is the cell plus its
-    # slot's flat offset, and the hold's divisor and clamp count are derived
-    # from the total at each step, so neither is a table. Measured peak: 33
-    # bytes a cell, with the mask that looks for totals below the hold floor
+    # what a walk keeps is 16 bytes a cell on a 2-D grid: one buffer of
+    # rates per axis, whose up and down jumps are two views. A jump's target
+    # is the cell plus its slot's flat offset, and a step sums the total
+    # from the rates it gathers, so neither is a table. Measured peak: 25
+    # bytes a cell, with the total summed once at build time and the mask
+    # that looks for totals below the hold floor
     n = 512
     grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
     field = DistanceField(grid, np.ones((n, n)), 0.0, 1.0)
@@ -186,7 +195,7 @@ def test_jump_table_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * grid.n_cells
+    assert peak <= 28 * grid.n_cells
 
 
 def _pinned_case(name, dust128):
