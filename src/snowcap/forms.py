@@ -65,7 +65,7 @@ def weight_field(field: DistanceField, delta: float) -> np.ndarray:
 
 def _pairs(mask: np.ndarray):
     """Per axis ax: the index of the cells k with a neighbour k + e_ax, that
-    of those neighbours, and where both lie in the grid-shaped mask."""
+    of those neighbours, and where both lie in the mask."""
     for ax in range(mask.ndim):
         lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(mask.ndim))
         hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(mask.ndim))
@@ -92,9 +92,9 @@ class SparseForm:
 
 
 def _faces(c: np.ndarray, mask: np.ndarray, h: float) -> tuple:
-    """Face weights h^(d-2) * (c_k + c_{k+e_ax}) / 2 of the grid-shaped cell
-    weights c, per axis, 0 where either side is outside mask. Each face is
-    written in place: the sum, the scale, then the zeros."""
+    """Face weights h^(d-2) * (c_k + c_{k+e_ax}) / 2 of the cell weights c on
+    the grid or a ball's box, per axis, 0 where either side is outside mask.
+    Each face is written in place: the sum, the scale, then the zeros."""
     faces = tuple(np.zeros(c.shape) for _ in range(c.ndim))
     for f, (lo, hi, both) in zip(faces, _pairs(mask)):
         face = f[lo]
@@ -113,9 +113,9 @@ def assemble_form(field: DistanceField, delta: float) -> SparseForm:
 
 
 def _restrict(faces, keep: np.ndarray, term):
-    """The form of the faces plus a per-cell term on the cells of the
-    grid-shaped mask keep, unknown k the k-th kept cell in flat order, and
-    per kept cell the weight of its faces to the other cells.
+    """The form of the faces plus a per-cell term on the cells of the mask
+    keep, shaped like the faces, unknown k the k-th kept cell in flat order,
+    and per kept cell the weight of its faces to the other cells.
 
     Both add up-faces by axis, then down-faces by axis: the diagonal is the
     term plus the outer faces, then plus the faces to kept cells. Each CSR
@@ -274,24 +274,18 @@ def eta_rn(field: DistanceField, r: float, n: int) -> np.ndarray:
 
 
 def capacity_upper_eta(field: DistanceField, delta: float, r_list, n_list) -> float:
-    """Best explicit upper bound min over (r, n) of h(eta) + ||eta||^2.
-
-    Ties break toward smaller r, then larger n (the double-infimum order).
-    """
+    """Best explicit upper bound min over (r, n) of h(eta) + ||eta||^2."""
     r_list, n_list = list(r_list), list(n_list)
     if not r_list or not n_list:
         raise ValueError("candidate lists must be nonempty")
     form = assemble_form(field, delta)
     hd = field.grid.h**field.grid.dim
-    best = None
-    for r in sorted(r_list):
-        for n in sorted(n_list, reverse=True):
-            eta = eta_rn(field, r, n)
-            val = form.energy(eta) + hd * float(np.sum(eta.ravel() ** 2))
-            key = (val, r, -n)
-            if best is None or key < best:
-                best = key
-    return float(best[0])
+
+    def bound(r, n):
+        eta = eta_rn(field, r, n)
+        return form.energy(eta) + hd * float(np.sum(eta.ravel() ** 2))
+
+    return float(min(bound(r, n) for r in r_list for n in n_list))
 
 
 # --- relaxed capacity ------------------------------------------------------------
@@ -425,16 +419,14 @@ def _check_hardy(tol: float, max_outer: int) -> None:
         raise ValueError("max_outer must be >= 0")
 
 
-def _hardy_pencil(field: DistanceField, region: np.ndarray, delta: float):
-    """The closed stiffness matrix K and the diagonal mass M on the cells of
-    the grid-shaped ball mask region, unknown k its k-th cell in C order;
-    only the ball's bounding box is assembled. A function of its own so that
-    the assembly's temporaries are freed before the solve."""
-    grid = field.grid
-    h, d = grid.h, grid.dim
-    # the ball within its bounding box, its cells in the same order
-    box = tuple(slice(k.min(), k.max() + 1) for k in np.nonzero(region))
-    ball, dist = region[box], _clamped(field.values[box], h)
+def _hardy_pencil(field: DistanceField, region: tuple, delta: float):
+    """The closed stiffness matrix K and the diagonal mass M on the (box,
+    ball) region of `_ball`, unknown k its k-th cell in C order; only the box
+    is assembled. A function of its own so that the assembly's temporaries
+    are freed before the solve."""
+    h, d = field.grid.h, field.grid.dim
+    box, ball = region
+    dist = _clamped(field.values[box], h)
     c = dist**delta
     # faces toward anything outside the support region get the closure weight
     closed = np.full(ball.shape, 2.0 * d)
@@ -445,14 +437,16 @@ def _hardy_pencil(field: DistanceField, region: np.ndarray, delta: float):
     return K, h**d * dist[ball] ** (delta - 2.0)
 
 
-def _hardy_solve(field: DistanceField, region: np.ndarray, delta: float, tol: float,
+def _hardy_solve(field: DistanceField, region: tuple, delta: float, tol: float,
                  max_outer: int) -> _HardyResult:
-    """`hardy_quotient` on the cells of a grid-shaped ball mask, its options
+    """`hardy_quotient` on the (box, ball) region of `_ball`, its options
     already checked."""
     from scipy.linalg import eigh
 
     K, mass = _hardy_pencil(field, region, delta)
-    levels, coarse = _hierarchy(K, np.argwhere(region))
+    box, ball = region
+    # grid coordinates, not box ones: the 3^d aggregates are aligned to the grid
+    levels, coarse = _hierarchy(K, np.argwhere(ball) + [s.start for s in box])
 
     # rows of S: the M-normalized iterate x, the preconditioned residual w and
     # the last step p; rows of KS their images under K. K x and K p follow x
@@ -518,17 +512,17 @@ def collar_integral(field: DistanceField, delta: float, z, rho: float, tau: floa
     The integrand's distance is floored at tau (and h/2), so for delta below
     the critical order the value blows up like tau^(delta - delta_c) as tau
     shrinks, while above it the value stabilizes — the divergence-rate probe
-    behind the uniqueness dichotomy.
+    behind the uniqueness dichotomy. Only the ball's bounding box is read.
     """
     _check_collar(delta, rho, tau)
     return _collar_sum(field, _ball(field.grid, z, rho), delta, tau)
 
 
-def _collar_sum(field: DistanceField, region: np.ndarray, delta: float, tau: float) -> float:
-    """`collar_integral` over the cells of a grid-shaped mask, so that a
+def _collar_sum(field: DistanceField, region: tuple, delta: float, tau: float) -> float:
+    """`collar_integral` over the (box, ball) region of `_ball`, so that a
     ladder of taus shares one ball."""
-    grid = field.grid
-    reg = np.maximum(_clamped(field.values[region], grid.h), tau)
+    grid, (box, ball) = field.grid, region
+    reg = np.maximum(_clamped(field.values[box][ball], grid.h), tau)
     return float(grid.h**grid.dim * np.sum(reg ** (delta - 2.0)))
 
 

@@ -389,9 +389,10 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
     )
 
 
-def _ball(grid: Grid, z, r: float) -> np.ndarray:
-    """Grid-shaped mask of the domain cells whose centre lies strictly within
-    r of z, a point with one coordinate per grid axis."""
+def _ball(grid: Grid, z, r: float) -> tuple:
+    """(box, ball): per axis the slice of the cells within r of z, a point
+    with one coordinate per grid axis, and on that box the mask of the domain
+    cells whose centre lies strictly within r of z."""
     d = grid.dim
     z = np.asarray(z, dtype=float)
     if z.shape != (d,):
@@ -404,11 +405,10 @@ def _ball(grid: Grid, z, r: float) -> np.ndarray:
         near = np.flatnonzero(np.sqrt(off) < r)  # none for a NaN r or z[ax]
         box.append(slice(near[0], near[-1] + 1) if len(near) else slice(0))
         sq = sq + off[box[-1]].reshape([-1 if k == ax else 1 for k in range(d)])
-    region = np.zeros(grid.dims, dtype=bool)
-    region[tuple(box)] = grid.omega_mask[tuple(box)] & (np.sqrt(sq, out=sq) < r)
-    if not region.any():
+    ball = grid.omega_mask[tuple(box)] & (np.sqrt(sq, out=sq) < r)
+    if not ball.any():
         raise EmptyRegion(f"no in-domain cell within {r} of z")
-    return region
+    return tuple(box), ball
 
 
 # --- scaling of near-boundary volume ------------------------------------------
@@ -525,22 +525,20 @@ def uniformity_estimate(
     keeps sigma * d(w) >= min(|w-x|, |w-y|) and the path length is at most
     sigma * |x-y|. Bisection over sigma per pair; the maximum over pairs is
     returned, saturated at sigma_max. Raises Disconnected when a sampled pair
-    has no path at all inside the region. Past the ball's mask, the graph,
-    centres and distances cover only the ball's cells, found in its bounding
-    box, so the work is sized by the ball, not the grid.
+    has no path at all inside the region. The graph, centres and distances
+    cover only the ball's cells, read on its bounding box, so the work is
+    sized by the ball, not the grid.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     grid = field.grid
-    region = _ball(grid, z, R)
-    cells = np.nonzero(region)
+    box, ball = _ball(grid, z, R)
+    cells = np.nonzero(ball)
     n = len(cells[0])
     if n < 2:
         raise EmptyRegion("fewer than two cells near z")
-    # the ball within its bounding box; node k is its k-th cell in C order
-    box = tuple(slice(k.min(), k.max() + 1) for k in cells)
-    ball = region[box]
+    # node k is the ball's k-th cell in C order
     node = np.cumsum(ball).reshape(ball.shape) - 1
 
     rows, cols, wts = [], [], []
@@ -556,8 +554,8 @@ def uniformity_estimate(
     graph = csr_matrix((np.concatenate(wts), (np.concatenate(rows), np.concatenate(cols))),
                        shape=(n, n))
 
-    pts = np.stack([grid.axis_centers(ax)[k] for ax, k in enumerate(cells)], axis=1)
-    dvals = field.values[region]
+    pts = np.stack([grid.axis_centers(ax)[box[ax]][k] for ax, k in enumerate(cells)], axis=1)
+    dvals = field.values[box][ball]
     rng = np.random.default_rng(seed)
     sigma_est = 1.0
 

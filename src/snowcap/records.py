@@ -22,6 +22,8 @@ __all__ = ["ExperimentRecord", "record_id", "derive_seed", "append_record", "loa
 _VALIDATION_TOL = 1e-9
 # JSON names of the record fields whose attribute names differ
 _JSON_NAMES = {"lam": "lambda", "dim": "d"}
+# the JSON values each field annotation admits; a bool is none of them
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict}
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class ExperimentRecord:
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
         raw = _record_object(line)
-        rec = cls(**{f.name: raw[_JSON_NAMES.get(f.name, f.name)] for f in fields(cls)})
+        rec = cls(**{f.name: _field(raw, _JSON_NAMES.get(f.name, f.name), f.type)
+                     for f in fields(cls)})
         s_check = similarity_dimension(named_family(rec.family).system(rec.lam, rec.dim))
         if abs(s_check - rec.s) > _VALIDATION_TOL:
             raise ValueError(f"record {rec.id}: stored s {rec.s} != recomputed {s_check}")
@@ -82,6 +85,18 @@ def _record_object(line: str) -> dict:
     if not isinstance(raw, dict):
         raise ValueError(f"record line is not a JSON object: {line[:80]!r}")
     return raw
+
+
+def _field(raw: dict, name: str, annotation: str):
+    """raw[name] if its JSON type fits the record field's annotation, such
+    as "float" or "int | None"; otherwise a ValueError that names the field."""
+    value = raw[name]
+    kind, _, rest = annotation.partition(" | ")
+    if value is None and rest == "None":
+        return value
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"record field {name!r} is not of type {annotation}: {value!r:.80}")
+    return value
 
 
 def _parses(line: str) -> bool:
@@ -143,4 +158,4 @@ def load_ids(path: str) -> set[str]:
         lines = _stream_lines(path)
     except FileNotFoundError:
         return set()
-    return {_record_object(line)["id"] for line in lines}
+    return {_field(_record_object(line), "id", "str") for line in lines}

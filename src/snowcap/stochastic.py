@@ -37,7 +37,7 @@ class WalkConfig:
     start     cell index (flat, or a grid multi-index tuple), integral
     horizon   diffusion-time budget T, positive and finite
     trials    number of independent trajectories, an integer from 1 to 2^23
-    seed      base seed; every (trial, step) draw comes from its own
+    seed      base seed, an integer; every (trial, step) draw comes from its own
               counter-indexed substream, so trials are independent and
               results do not depend on execution order or batching
     absorb_eps  physical collar width that counts as reaching the boundary
@@ -58,6 +58,8 @@ class WalkConfig:
             raise ValueError("need at least one trial")
         if self.trials > _MAX_TRIALS:
             raise ValueError(f"at most {_MAX_TRIALS} trials, so that no two share draws")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed {self.seed!r} is not an integer")
         if not self.absorb_eps > 0:
             raise ValueError("absorb_eps must be positive")
 
@@ -245,7 +247,7 @@ def walk_absorption(form: SparseForm, field: DistanceField, cfg: WalkConfig) -> 
     jumps = _jump_tables(form, d_flat < cfg.absorb_eps, cfg.horizon)
 
     n = cfg.trials
-    seed = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    seed = np.uint64(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF)
     # counter low bits of steps 0.._ROUND_DRAWS-1: (step << 1) | {hold 0, pick 1}
     lanes = (np.arange(_ROUND_DRAWS, dtype=np.uint64) << np.uint64(1)) | np.array(
         [[0], [1]], dtype=np.uint64)

@@ -618,18 +618,29 @@ def test_sweep_resumes_after_torn_final_record(tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", ["sweep", "report"])
 def test_record_line_that_is_not_an_object_is_refused(cmd, tmp_path, capsys):
-    # valid JSON that is not a record: resuming a sweep and loading a
-    # report refuse the line by name instead of failing on its type
+    # valid JSON that is not a record, or a record field of another JSON
+    # type than its annotation: resuming a sweep and loading a report refuse
+    # the line by name instead of failing on its type
     stream = str(tmp_path / "r.jsonl")
     assert run(capsys, *_SWEEP4, "--out", stream)[0] == 0
-    with open(stream, "a") as fh:
-        fh.write("[1, 2]\n")
+    with open(stream) as fh:
+        good = fh.read()
+    bad = {"[1, 2]": "record line is not a JSON object: '[1, 2]'",
+           '{"id": [1]}': "record field 'id' is not of type str: [1]"}
+    if cmd == "report":  # a sweep resumes on the ids alone
+        rec = json.loads(good.splitlines()[0])
+        for name, value, annotation in [("family", [], "str"), ("lambda", "x", "float"),
+                                        ("outputs", [], "dict"), ("seed", True, "int")]:
+            bad[json.dumps({**rec, name: value})] = (
+                f"record field {name!r} is not of type {annotation}: {value!r}")
     argv = ([*_SWEEP4, "--out", stream] if cmd == "sweep"
             else ["report", "--in", stream, "--out", str(tmp_path / "p.svg")])
-    rc, out, err = run(capsys, *argv)
-    assert (rc, out) == (2, "")
-    assert json.loads(err) == {"error": "config",
-                               "message": "record line is not a JSON object: '[1, 2]'"}
+    for line, message in bad.items():
+        with open(stream, "w") as fh:
+            fh.write(good + line + "\n")
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {"error": "config", "message": message}
     assert not (tmp_path / "p.svg").exists()
 
 

@@ -481,8 +481,10 @@ def test_restrict_matches_coo_laplacian(mask):
     _same_csr(A, _coo_laplacian(form.faces, free, h**d + cross))
 
     extent = h * np.array(mask.shape)
-    ball = _ball(grid, 0.5 * extent, 0.3 * extent.max())
-    K, _ = _hardy_pencil(field, ball, delta)
+    box, on_box = region = _ball(grid, 0.5 * extent, 0.3 * extent.max())
+    ball = np.zeros(mask.shape, dtype=bool)
+    ball[box] = on_box
+    K, _ = _hardy_pencil(field, region, delta)
     _, closed = _outer_faces(form.faces, ball)
     assert closed.min() < closed.max()
     c = np.maximum(np.minimum(field.values[ball], 1.0), h / 2) ** delta
@@ -710,18 +712,31 @@ def test_ball_measurements_memory_is_bounded(measure):
     assert peak < 12 * grid.n_cells
 
 
-def test_ball_memory_is_its_mask():
-    # a 1,304-cell ball on a 2048 x 2048 grid: the grid-shaped bool mask is
-    # one byte a cell, and the distances are taken on the ball's bounding box
+BALL_CALLS = {
+    "ball": lambda f: _ball(f.grid, (0.5, 0.5), 0.01),
+    "hardy": lambda f: hardy_quotient(f, 1.0, (0.5, 0.5), 0.01),
+    "collar": lambda f: collar_integral(f, 1.0, (0.5, 0.5), 0.01, 0.002),
+    "uniformity": lambda f: uniformity_estimate(f, (0.5, 0.5), 0.01, n_pairs=4),
+}
+
+
+@pytest.mark.parametrize("call", BALL_CALLS.values(), ids=BALL_CALLS.keys())
+def test_ball_work_is_sized_by_the_ball(call):
+    # a 1,304-cell ball on a 2048 x 2048 all-domain grid: the ball and every
+    # measurement on it stay on the ball's bounding box, so any grid-sized
+    # array, even a one-byte mask, breaks the bound of a quarter byte a cell
     n = 2048
     grid = Grid((0.0, 0.0), 1.0 / n, (n, n), np.ones((n, n), dtype=bool))
+    edge = np.minimum(grid.axis_centers(0), 1.0 - grid.axis_centers(0))
+    field = DistanceField(grid, np.minimum(edge[:, None], edge[None, :]), 0.0, np.sqrt(2.0))
+    call(field)  # scipy's imports, outside the trace
     tracemalloc.start()
     try:
-        _ball(grid, (0.5, 0.5), 0.01)
+        call(field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * grid.n_cells
+    assert peak <= 0.25 * grid.n_cells
 
 
 # --- collar integrals --------------------------------------------------------------
@@ -740,7 +755,10 @@ def test_collar_delta2_gives_region_volume(koch256, centers):
     ]
     for z, rho in balls:
         region = grid.omega_mask.ravel() & (np.linalg.norm(pts - z, axis=1) < rho)
-        assert (_ball(grid, z, rho).ravel() == region).all()
+        box, on_box = _ball(grid, z, rho)
+        ball = np.zeros(grid.dims, dtype=bool)
+        ball[box] = on_box
+        assert (ball.ravel() == region).all()
         vol = collar_integral(koch256, 2.0, z, rho, 8 * grid.h)
         assert abs(vol - grid.h**2 * int(region.sum())) <= 1e-12
     # a NaN radius or centre coordinate holds no cell, and warns of nothing

@@ -116,6 +116,13 @@ def test_config_validation(line64):
     assert WalkConfig(32, 1.0, np.int64(10), 1, 0.05).trials == 10
     assert walk_absorption(form, df, WalkConfig(32, 0.2, np.int32(40), 3, 3.0 / 64)) == (
         walk_absorption(form, df, WalkConfig(32, 0.2, 40, 3, 3.0 / 64)))
+    # so is a seed, and a numpy one walks bit for bit as the same int does
+    for seed in (1.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            WalkConfig(32, 1.0, 100, seed, 0.05)
+    for seed in (5, -5):
+        assert walk_absorption(form, df, WalkConfig(32, 0.2, 40, np.int64(seed), 3.0 / 64)) == (
+            walk_absorption(form, df, WalkConfig(32, 0.2, 40, seed, 3.0 / 64)))
     # trial t draws from the counters (t << 41) | k, which wrap at t = 2^23;
     # the configs are only built, never walked
     assert WalkConfig(32, 1.0, 2**23, 1, 0.05).trials == 2**23
