@@ -42,13 +42,9 @@ __all__ = ["run_subcommand", "main", "choose_depth"]
 _PRIMITIVE_BUDGET = 2_000_000
 
 
-class _CliError(Exception):
-    """Invalid command line or config file."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 # --- small parsers ------------------------------------------------------------
@@ -59,7 +55,7 @@ def _parse_length(spec: str, h: float) -> float:
     s = spec.strip()
     length = float(s[:-1]) * h if s.endswith("h") else float(s)
     if not np.isfinite(length):
-        raise _CliError(f"length {spec!r} must be finite")
+        raise ValueError(f"length {spec!r} must be finite")
     return length
 
 
@@ -67,10 +63,10 @@ def _parse_range(spec: str) -> np.ndarray:
     """'lo:hi:n' -> n evenly spaced values from lo to hi inclusive."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise _CliError(f"range {spec!r} must look like lo:hi:n")
+        raise ValueError(f"range {spec!r} must look like lo:hi:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
-        raise _CliError("range count must be >= 1")
+        raise ValueError("range count must be >= 1")
     return np.linspace(lo, hi, n)
 
 
@@ -78,17 +74,17 @@ def _parse_length_range(spec: str, h: float) -> np.ndarray:
     """'8h:64h:7' -> geometric ladder of lengths (bounds may use the h suffix)."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise _CliError(f"range {spec!r} must look like lo:hi:n")
+        raise ValueError(f"range {spec!r} must look like lo:hi:n")
     lo, hi, n = _parse_length(parts[0], h), _parse_length(parts[1], h), int(parts[2])
     if n < 2:
-        raise _CliError("need at least two ladder points")
+        raise ValueError("need at least two ladder points")
     return np.geomspace(lo, hi, n)
 
 
 def _parse_point(spec: str, dim: int) -> tuple:
     vals = tuple(float(v) for v in spec.split(","))
     if len(vals) != dim:
-        raise _CliError(f"point {spec!r} must have {dim} comma-separated coordinates")
+        raise ValueError(f"point {spec!r} must have {dim} comma-separated coordinates")
     return vals
 
 
@@ -126,7 +122,7 @@ def _start_cell(point: tuple, grid) -> tuple:
     idx = []
     for ax, p in enumerate(point):
         if not grid.origin[ax] <= p <= grid.origin[ax] + grid.dims[ax] * grid.h:
-            raise _CliError("start cell must be inside the domain")
+            raise ValueError("start cell must be inside the domain")
         # a point on the box's far face rounds to index dims[ax]
         i = int(np.round((p - grid.origin[ax]) / grid.h - 0.5))
         idx.append(int(np.clip(i, 0, grid.dims[ax] - 1)))
@@ -274,7 +270,7 @@ def _cmd_sweep(args) -> dict:
     lams = _parse_range(args.lambdas)
     deltas = _parse_range(args.deltas)
     if args.resolution < 16:
-        raise _CliError("sweep resolution must be at least 16")
+        raise ValueError("sweep resolution must be at least 16")
     # capacity_relaxed's rule, checked before any field is built: eps_cells
     # is the collar width on a grid of unit cells
     _check_capacity(1.0, args.eps_cells, args.cg_tol)
@@ -291,8 +287,9 @@ def _cmd_sweep(args) -> dict:
         for delta in deltas:
             params = {"op": "capacity-trend", "family": args.family, "lambda": lam, "d": args.d,
                       "delta": float(delta), "resolution": res_f, "eps_cells": args.eps_cells}
-            if record_id(params) not in done:
-                cells.append(params)
+            rid = record_id(params)
+            if rid not in done:
+                cells.append((rid, params))
         if not cells:
             continue
 
@@ -300,13 +297,11 @@ def _cmd_sweep(args) -> dict:
         geom = named_family(args.family).geometry(lam, args.d, depth)
         field_c, field_f = (distance_field(geom, build_grid(geom, r)) for r in (res_c, res_f))
 
-        for params in cells:
+        for rid, params in cells:
             t0 = time.perf_counter()
             outputs = _trend_cell(field_c, field_f, params["delta"], args.eps_cells, args.cg_tol)
-            rid = record_id(params)
             _record(args.out, params, depth, outputs, {"cg_tol": args.cg_tol},
                     derive_seed(args.seed, rid), time.perf_counter() - t0)
-            done.add(rid)
             written += 1
 
     return {"records": written, "skipped": len(lams) * len(deltas) - written, "out": args.out}
@@ -352,7 +347,7 @@ def _svg_phase(records) -> str:
         raise EmptyRegion("no capacity-trend records to plot")
     families = {(r.family, r.dim) for r in cells}
     if len(families) > 1:
-        raise _CliError(f"mixed sweep families in record stream: {sorted(families)}")
+        raise ValueError(f"mixed sweep families in record stream: {sorted(families)}")
     family, dim = next(iter(families))
 
     lams = np.array(sorted({r.lam for r in cells}))
@@ -392,11 +387,8 @@ def _svg_phase(records) -> str:
 
     pts = []
     for lam in np.linspace(lams[0], lams[-1], 160):
-        try:
-            s = similarity_dimension(named_family(family).system(float(lam), dim))
-            dc = critical_delta(s, dim)
-        except (ValueError, SnowcapError):
-            continue
+        s = similarity_dimension(named_family(family).system(float(lam), dim))
+        dc = critical_delta(s, dim)
         if del0 <= dc <= del1:
             pts.append(f"{sx(lam):.1f},{sy(dc):.1f}")
     if pts:
@@ -587,17 +579,17 @@ def _with_config(argv: list) -> list:
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise _CliError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     flags = {}
     for flag, kwargs in _SPECS[argv[0]].options:
         name = flag.lstrip("-")
         flags[name] = flags[kwargs.get("dest", name.replace("-", "_"))] = flag
     unknown = set(cfg) - set(flags)
     if unknown:
-        raise _CliError(f"config keys not accepted by {argv[0]!r}: {sorted(unknown)}")
+        raise ValueError(f"config keys not accepted by {argv[0]!r}: {sorted(unknown)}")
     bad = [k for k, v in cfg.items() if isinstance(v, bool) or not isinstance(v, (str, int, float))]
     if bad:
-        raise _CliError(f"config values must be strings or numbers: {sorted(bad)}")
+        raise ValueError(f"config values must be strings or numbers: {sorted(bad)}")
     return [argv[0], *(f"{flags[k]}={v}" for k, v in cfg.items()), *argv[1:]]
 
 
@@ -625,7 +617,7 @@ def run_subcommand(argv) -> int:
     except SnowcapError as e:
         _fail(type(e).__name__, e)
         return 2
-    except (_CliError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         _fail("config", e)
         return 2
 

@@ -268,7 +268,6 @@ def eta_rn(field: DistanceField, r: float, n: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         band = -np.log(d / r) / np.log(n)
     eta = np.where(d <= r / n, 1.0, np.clip(band, 0.0, 1.0))
-    eta[d > r] = 0.0
     eta[~field.grid.omega_mask] = 0.0
     return eta
 

@@ -90,6 +90,8 @@ def _record_object(line: str) -> dict:
 def _field(raw: dict, name: str, annotation: str):
     """raw[name] if its JSON type fits the record field's annotation, such
     as "float" or "int | None"; otherwise a ValueError that names the field."""
+    if name not in raw:
+        raise ValueError(f"record field {name!r} is missing")
     value = raw[name]
     kind, _, rest = annotation.partition(" | ")
     if value is None and rest == "None":

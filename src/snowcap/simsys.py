@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+# |sum r_k^s - 1| that `similarity_dimension` accepts at its answer
+_MORAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class SimilaritySystem:
         return np.array([m.ratio for m in self.maps])
 
 
-def similarity_dimension(system: SimilaritySystem, tol: float = 1e-12) -> float:
+def similarity_dimension(system: SimilaritySystem) -> float:
     """Solve the Moran equation sum_k r_k^s = 1 for s by bisection on [0, d].
 
     Raises NoSolutionInRange when sum r_k^d > 1 (overlapping system whose
@@ -118,9 +120,9 @@ def similarity_dimension(system: SimilaritySystem, tol: float = 1e-12) -> float:
         raise NoSolutionInRange(
             f"sum r_k^d = {f(d):.6f} > 1: no similarity dimension in [0, {d}]"
         )
-    if abs(f(0.0) - 1.0) <= tol:  # single map
+    if abs(f(0.0) - 1.0) <= _MORAN_TOL:  # single map
         return 0.0
-    if abs(f(d) - 1.0) <= tol:
+    if abs(f(d) - 1.0) <= _MORAN_TOL:
         return d
 
     lo, hi = 0.0, d
@@ -133,8 +135,10 @@ def similarity_dimension(system: SimilaritySystem, tol: float = 1e-12) -> float:
         else:
             hi = mid
     s = 0.5 * (lo + hi)
-    if abs(f(s) - 1.0) > tol:
-        raise NoSolutionInRange(f"bisection residual {abs(f(s)-1.0):.3e} exceeds tol {tol:.3e}")
+    if abs(f(s) - 1.0) > _MORAN_TOL:
+        raise NoSolutionInRange(
+            f"bisection residual {abs(f(s)-1.0):.3e} exceeds tol {_MORAN_TOL:.3e}"
+        )
     return s
 
 
@@ -309,8 +313,6 @@ class Family:
         cap = self.depth_caps[dim]
         if depth > cap:
             raise DepthOverflow(f"{self.name} depth {depth} exceeds cap {cap}")
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
         return BoundaryGeometry(
             dim, self.kind, self.primitives(system, depth), depth,
             self.approx_error(system, depth), system,

@@ -1,7 +1,16 @@
 """Fixtures shared by the test modules."""
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads. Beside another busy process a
+# threaded BLAS made the timed acceptance checks several times slower
+# (criterion 8's `np.dot` energies), and the last bits of a long `np.dot`
+# sum depend on the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture(scope="session")

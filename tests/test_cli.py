@@ -72,6 +72,10 @@ def test_fractal_export_roundtrips(tmp_path, capsys):
     geom = geometry_from_text(open(out).read())
     assert len(geom.primitives) == 3 * 4**2
     assert geom.system.family == "koch"
+    rc, stdout, err = run(capsys, "fractal", "--family", "koch", "--lambda", "0.3333333333",
+                          "--depth", "-1", "--out", out)
+    assert (rc, stdout) == (2, "")
+    assert json.loads(err) == {"error": "config", "message": "depth must be >= 0"}
 
 
 def test_capacity_appends_record(tmp_path, capsys):
@@ -312,6 +316,13 @@ REFUSED = {
     "sweep-cg-tol": ([*_SWEEP4, "--cg-tol", "0"], _CG_TOL),
     "sweep-lambdas": ([*_SWEEP4, "--lambdas", "0.15:0.6:4"],
                       "cantor-dust requires lambda in (0, 0.5)"),
+    "sweep-range": ([*_SWEEP4, "--lambdas", "0.1:0.4"], "range '0.1:0.4' must look like lo:hi:n"),
+    "sweep-range-count": ([*_SWEEP4, "--deltas", "0:1:0"], "range count must be >= 1"),
+    "sweep-resolution": ([*_SWEEP4, "--resolution", "8"], "sweep resolution must be at least 16"),
+    "collar-taus": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "0.3", "--taus", "1h:4h:1"],
+                    "need at least two ladder points"),
+    "walk-start-point": ([*_WALK, "--start", "0.5"],
+                         "point '0.5' must have 2 comma-separated coordinates"),
 }
 
 
@@ -383,6 +394,7 @@ REFUSED_CONFIG = {
     "trials-float": ({"trials": 50.0}, "argument --trials: invalid int value: '50.0'"),
     "records-true": ({"records": True}, _NOT_SCALAR.format(["records"])),
     "depth-null": ({"depth": None}, _NOT_SCALAR.format(["depth"])),
+    "not-an-object": ([1], "config file must hold a JSON object"),
 }
 
 
@@ -618,21 +630,32 @@ def test_sweep_resumes_after_torn_final_record(tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", ["sweep", "report"])
 def test_record_line_that_is_not_an_object_is_refused(cmd, tmp_path, capsys):
-    # valid JSON that is not a record, or a record field of another JSON
-    # type than its annotation: resuming a sweep and loading a report refuse
-    # the line by name instead of failing on its type
+    # valid JSON that is not a record, or a record field that is missing or
+    # of another JSON type than its annotation: resuming a sweep and loading
+    # a report refuse the line by name instead of failing on its type
     stream = str(tmp_path / "r.jsonl")
     assert run(capsys, *_SWEEP4, "--out", stream)[0] == 0
     with open(stream) as fh:
         good = fh.read()
     bad = {"[1, 2]": "record line is not a JSON object: '[1, 2]'",
-           '{"id": [1]}': "record field 'id' is not of type str: [1]"}
+           '{"id": [1]}': "record field 'id' is not of type str: [1]",
+           '{"op": "x"}': "record field 'id' is missing"}
     if cmd == "report":  # a sweep resumes on the ids alone
         rec = json.loads(good.splitlines()[0])
         for name, value, annotation in [("family", [], "str"), ("lambda", "x", "float"),
                                         ("outputs", [], "dict"), ("seed", True, "int")]:
             bad[json.dumps({**rec, name: value})] = (
                 f"record field {name!r} is not of type {annotation}: {value!r}")
+        bad[json.dumps({k: v for k, v in rec.items() if k != "op"})] = (
+            "record field 'op' is missing")
+        bad[json.dumps({**rec, "version": ""})] = f"record {rec['id']}: missing version tag"
+        # a valid record of another sweep family: one stream draws one diagram
+        other = str(tmp_path / "vicsek.jsonl")
+        assert run(capsys, "sweep", "--family", "vicsek", "--d", "2", "--lambdas", "0.3:0.3:1",
+                   "--deltas", "1:1:1", "--resolution", "16", "--out", other)[0] == 0
+        with open(other) as fh:
+            bad[fh.read().strip()] = (
+                "mixed sweep families in record stream: [('cantor', 2), ('vicsek', 2)]")
     argv = ([*_SWEEP4, "--out", stream] if cmd == "sweep"
             else ["report", "--in", stream, "--out", str(tmp_path / "p.svg")])
     for line, message in bad.items():

@@ -394,11 +394,15 @@ def test_uniformity_vicsek_grows_with_resolution():
     # resolve the pinch and the cigar constant climbs
     geom = vicsek(0.3, 2, 3)
     z = np.array([0.3, 0.3])  # a pinch point
-    sigmas = []
+    sigmas, saturated = [], []
     for res in (48, 96, 192):
         grid = build_grid(geom, res, margin=0.2)
         df = distance_field(geom, grid)
         sigmas.append(uniformity_estimate(df, z, R=0.15, n_pairs=24, seed=5, sigma_max=1e6))
+        if res < 192:  # a pair not joined within sigma_max returns sigma_max itself
+            saturated.append(uniformity_estimate(df, z, R=0.15, n_pairs=24, seed=5,
+                                                 sigma_max=8.0))
+    assert saturated == [8.0, 8.0]
     assert sigmas[0] < sigmas[-1]
     assert sigmas[1] <= sigmas[2]
     assert [s.hex() for s in sigmas] == [

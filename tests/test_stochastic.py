@@ -144,7 +144,8 @@ def test_start_must_be_integral(dust128):
     h = dust128.grid.h
     form = assemble_form(dust128, 0.0)
     flat = 16 * 128 + 16
-    for start in ((16.9, 16.2), (16, np.float64(16.5)), flat + 0.7):
+    for start in ((16.9, 16.2), (16, np.float64(16.5)), flat + 0.7, (np.inf, 16), (16, np.nan),
+                  np.inf):
         with pytest.raises(ValueError, match="not integral"):
             walk_absorption(form, dust128, WalkConfig(start, 0.3, 10, 1, 4 * h))
     results = [walk_absorption(form, dust128, WalkConfig(start, 0.3, 50, 1, 4 * h))
