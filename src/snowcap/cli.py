@@ -67,6 +67,8 @@ def _parse_range(spec: str) -> np.ndarray:
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
         raise ValueError("range count must be >= 1")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"range {spec!r} must have finite bounds")
     return np.linspace(lo, hi, n)
 
 
@@ -78,6 +80,8 @@ def _parse_length_range(spec: str, h: float) -> np.ndarray:
     lo, hi, n = _parse_length(parts[0], h), _parse_length(parts[1], h), int(parts[2])
     if n < 2:
         raise ValueError("need at least two ladder points")
+    if not (lo > 0 and hi > 0):
+        raise ValueError(f"range {spec!r} must have positive bounds")
     return np.geomspace(lo, hi, n)
 
 
@@ -274,6 +278,8 @@ def _cmd_sweep(args) -> dict:
     # capacity_relaxed's rule, checked before any field is built: eps_cells
     # is the collar width on a grid of unit cells
     _check_capacity(1.0, args.eps_cells, args.cg_tol)
+    if not np.isfinite(args.eps_cells):  # a record id hashes it
+        raise ValueError("--eps-cells must be finite")
     _check_delta(deltas.min())
     for lam in lams:
         named_family(args.family).system(float(lam), args.d)

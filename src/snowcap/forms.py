@@ -167,17 +167,37 @@ _GRAM_FLOOR = 1e-8
 def _prolongator(A: csr_matrix, diag: np.ndarray, coords: np.ndarray):
     """Smoothed prolongator P = P0 - (2/3) D^-1 A P0 of the aggregates that
     group the unknowns of each 3^d block of cells, and the block coordinates
-    of the aggregates. diag is D, the diagonal of A."""
+    of the aggregates. diag is D, the diagonal of A. The block keys and the
+    aggregate of each unknown are freed before the product A P0, and P0 is
+    built on A's index type."""
     from scipy.sparse import csr_matrix
 
-    n = A.shape[0]
+    n, index = A.shape[0], A.indptr.dtype
     block = np.asarray(coords) // _AGG
-    keys = np.ravel_multi_index(block.T, tuple(block.max(axis=0) + 1))
-    _, first, agg = np.unique(keys, return_index=True, return_inverse=True)
-    P0 = csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, len(first)))
+    dims = tuple(block.max(axis=0) + 1)
+    keys = np.ravel_multi_index(block.T, dims)
+    del block
+    aggs, agg = np.unique(keys, return_inverse=True)
+    del keys
+    P0 = csr_matrix((np.ones(n), agg.astype(index), np.arange(n + 1, dtype=index)),
+                    shape=(n, len(aggs)))
+    del agg
     AP0 = A @ P0
     AP0.data *= np.repeat(2.0 / 3.0 / diag, np.diff(AP0.indptr))
-    return P0 - AP0, block[first]
+    return P0 - AP0, np.stack(np.unravel_index(aggs, dims), axis=1)
+
+
+def _residual(A, x, r):
+    """r - A x, formed in the one work array A @ x."""
+    t = A @ x
+    return np.subtract(r, t, out=t)
+
+
+def _smooth(A, wd, x, r):
+    """One damped-Jacobi step x += wd (r - A x), in place."""
+    t = _residual(A, x, r)
+    t *= wd
+    x += t
 
 
 def _vcycle(levels, coarse, r):
@@ -186,10 +206,10 @@ def _vcycle(levels, coarse, r):
         return coarse(r)
     A, wd, P, R = levels[0]
     x = wd * r
-    x += wd * (r - A @ x)
-    x += P @ _vcycle(levels[1:], coarse, R @ (r - A @ x))
+    _smooth(A, wd, x, r)
+    x += P @ _vcycle(levels[1:], coarse, R @ _residual(A, x, r))
     for _ in range(2):
-        x += wd * (r - A @ x)
+        _smooth(A, wd, x, r)
     return x
 
 
@@ -223,33 +243,49 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
     return levels, lambda r: cho_solve(factor, r)
 
 
-def _spd_solver(A: csr_matrix, coords: np.ndarray):
+def _spd_solver(A: csr_matrix, cells: np.ndarray):
     """Conjugate gradients preconditioned by one V(2,2) cycle of the
-    smoothed-aggregation hierarchy of A (see `_hierarchy`).
+    smoothed-aggregation hierarchy of A (see `_hierarchy`), unknown k the
+    k-th cell of the mask cells in C order. The cells' coordinates are
+    passed on as a temporary, so that (on CPython 3.11 and later) no frame
+    but the hierarchy's holds them and its first level frees them.
 
     Returns solve(b, x0, rtol) -> (x, iterations), which raises
-    SolverDiverged on a stall, and the number of levels.
+    SolverDiverged on a stall, and the number of levels. The loop is scipy's
+    `cg` (1.17) step for step, stopped when ||r|| < rtol ||b||; between
+    V-cycles it holds only the iterate x, the residual r and the direction p.
     """
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    levels, coarse = _hierarchy(A, coords)
-    M = LinearOperator(A.shape, matvec=lambda r: _vcycle(levels, coarse, r), dtype=float)
+    levels, coarse = _hierarchy(A, np.argwhere(cells))
 
     def solve(b, x0=None, rtol=1e-8):
-        iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        x, info = cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=_MAX_PCG_ITERS, M=M,
-                     callback=count)
-        if info != 0:
-            resid = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
-            raise SolverDiverged(
-                f"conjugate gradients stalled at residual {resid:.3e} after {iters} iterations"
-            )
-        return x, iters
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0:
+            return b, 0
+        x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
+        r = b - A @ x if x.any() else b.copy()
+        p = rho_prev = None
+        for iters in range(_MAX_PCG_ITERS):
+            if np.linalg.norm(r) < rtol * bnorm:
+                return x, iters
+            z = _vcycle(levels, coarse, r)
+            rho = np.dot(r, z)
+            if p is None:
+                p = z
+            else:
+                p *= rho / rho_prev
+                p += z
+            del z
+            q = A @ p
+            alpha = rho / np.dot(p, q)
+            q *= alpha
+            r -= q
+            x += np.multiply(p, alpha, out=q)
+            del q
+            rho_prev = rho
+        resid = float(np.linalg.norm(A @ x - b) / bnorm)
+        raise SolverDiverged(
+            f"conjugate gradients stalled at residual {resid:.3e} after {_MAX_PCG_ITERS} iterations"
+        )
 
     return solve, len(levels) + 1
 
@@ -345,7 +381,8 @@ def capacity_relaxed(
 
     # a face from a free cell to another domain cell ends on the collar: psi = 1
     A, b = _restrict(form.faces, free, hd)
-    solve, levels = _spd_solver(A, np.argwhere(free))
+    del form  # the faces are read; the energy assembles them again
+    solve, levels = _spd_solver(A, free)
     guess = None if x0 is None else np.asarray(x0, dtype=float).reshape(grid.dims)[free]
     sol, iters = solve(b, guess, cg_tol)
     bnorm = np.linalg.norm(b)  # 0 if every weight underflows; CG then returns psi = 0 exactly
@@ -358,7 +395,7 @@ def capacity_relaxed(
             f"minimizer leaves [0,1] ({psi.min():.3e}, {psi.max():.3e}): "
             "maximum principle violated, solution untrusted"
         )
-    value = form.energy(psi) + hd * float(np.sum(psi[mask] ** 2))
+    value = assemble_form(field, delta).energy(psi) + hd * float(np.sum(psi[mask] ** 2))
     return CapacityResult(value, float(eps), iters, resid, levels, psi)
 
 

@@ -312,7 +312,10 @@ REFUSED = {
                         "collar width eps must be at least two cells"),
     "sweep-eps-cells-nan": ([*_SWEEP4, "--eps-cells", "nan"],
                             "collar width eps must be at least two cells"),
+    "sweep-eps-cells-inf": ([*_SWEEP4, "--eps-cells", "inf"], "--eps-cells must be finite"),
     "sweep-deltas": ([*_SWEEP4, "--deltas=-0.5:2.5:2"], _DELTA),
+    "sweep-deltas-inf": ([*_SWEEP4, "--deltas", "0:inf:2"],
+                         "range '0:inf:2' must have finite bounds"),
     "sweep-cg-tol": ([*_SWEEP4, "--cg-tol", "0"], _CG_TOL),
     "sweep-lambdas": ([*_SWEEP4, "--lambdas", "0.15:0.6:4"],
                       "cantor-dust requires lambda in (0, 0.5)"),
@@ -321,6 +324,8 @@ REFUSED = {
     "sweep-resolution": ([*_SWEEP4, "--resolution", "8"], "sweep resolution must be at least 16"),
     "collar-taus": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "0.3", "--taus", "1h:4h:1"],
                     "need at least two ladder points"),
+    "collar-taus-negative": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "0.3", "--taus=-1h:4h:3"],
+                             "range '-1h:4h:3' must have positive bounds"),
     "walk-start-point": ([*_WALK, "--start", "0.5"],
                          "point '0.5' must have 2 comma-separated coordinates"),
 }

@@ -65,6 +65,12 @@ def cantor96():
 
 
 @pytest.fixture(scope="module")
+def koch512():
+    geom = koch_snowflake(1 / 3, 6)
+    return distance_field(geom, build_grid(geom, 512))
+
+
+@pytest.fixture(scope="module")
 def koch256():
     geom = koch_snowflake(1 / 3, 6)
     return distance_field(geom, build_grid(geom, 256))
@@ -249,6 +255,13 @@ def test_capacity_warm_start_agrees(koch128):
     assert abs(cold.value - warm.value) <= 1e-8 * cold.value
 
 
+def test_capacity_stall_raises(koch128, monkeypatch):
+    # one PCG iteration cannot reach a relative residual of 1e-14
+    monkeypatch.setattr("snowcap.forms._MAX_PCG_ITERS", 1)
+    with pytest.raises(SolverDiverged, match=r"stalled at residual \S+ after 1 iterations"):
+        capacity_relaxed(koch128, 1.0, 8 * koch128.grid.h, cg_tol=1e-14)
+
+
 # per delta: capacity_relaxed at eps = 8h (value and residual as float.hex,
 # CG iterations, levels), then capacity_upper_eta over r in {0.2, 0.4} and n
 # in {16, 64}; last the sha256 of eta_rn(field, 0.3, 15). Both grids' coarse
@@ -342,12 +355,11 @@ def test_form_assembly_memory_is_bounded():
     assert peak <= 28 * grid.n_cells
 
 
-def test_capacity_assembly_memory_is_bounded():
+def test_capacity_assembly_memory_is_bounded(koch512):
     # koch13 at 512 (444 x 512 cells): the form's faces and the free cells'
     # CSR hold 12 MB and the assembly peaks at 24 MB; the bound fails edge
     # lists at 24 bytes per edge, restricted and sent through COO (43 MB)
-    geom = koch_snowflake(1 / 3, 6)
-    field = distance_field(geom, build_grid(geom, 512))
+    field = koch512
     tracemalloc.start()
     try:
         form = assemble_form(field, 1.0)
@@ -360,12 +372,27 @@ def test_capacity_assembly_memory_is_bounded():
     assert peak < 30e6
 
 
+def test_capacity_solve_memory_is_bounded(koch512):
+    # the whole solve on the 119,092 free cells of koch13 at 512: the
+    # level-0 Galerkin product and the CG each peak at 27.5 MB. The bound
+    # fails a solve that keeps the form's faces, the fine cells' int64
+    # coordinates or the CG's temporaries beside them (33.3 MB)
+    capacity_relaxed(koch512, 1.0, 0.01)  # scipy's imports, outside the trace
+    tracemalloc.start()
+    try:
+        capacity_relaxed(koch512, 1.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
 def _grid_system(mask, delta=0.0):
     # weighted grid Laplacian on the cells of mask (face weights h^(d-2)
     # times the mean of x_0^delta) plus the mass diagonal h^d
     h, d = 1.0 / mask.shape[0], mask.ndim
     x0 = (np.indices(mask.shape)[0] + 0.5) * h
-    return _restrict(_faces(x0**delta, mask, h), mask, h**d)[0], np.argwhere(mask)
+    return _restrict(_faces(x0**delta, mask, h), mask, h**d)[0]
 
 
 _CUT = np.ones((120, 120), dtype=bool)
@@ -380,10 +407,10 @@ SPD_SYSTEMS = {
 
 @pytest.mark.parametrize("mask, delta", SPD_SYSTEMS.values(), ids=SPD_SYSTEMS.keys())
 def test_spd_solver_matches_direct_solve(mask, delta):
-    A, coords = _grid_system(mask, delta)
+    A = _grid_system(mask, delta)
     b = np.random.default_rng(3).standard_normal(A.shape[0])
     ref = spsolve(A.tocsc(), b)
-    solve, levels = _spd_solver(A, coords)
+    solve, levels = _spd_solver(A, mask)
     rtol = 1e-10
     x, iters = solve(b, None, rtol)
     assert levels >= 2
@@ -394,9 +421,10 @@ def test_spd_solver_matches_direct_solve(mask, delta):
 
 
 def test_spd_solver_small_system_is_one_direct_level():
-    A, coords = _grid_system(np.ones((20, 20), dtype=bool))  # 400 rows: the coarse size
+    mask = np.ones((20, 20), dtype=bool)
+    A = _grid_system(mask)  # 400 rows: the coarse size
     b = np.random.default_rng(4).standard_normal(400)
-    solve, levels = _spd_solver(A, coords)
+    solve, levels = _spd_solver(A, mask)
     x, iters = solve(b, None, 1e-12)
     assert levels == 1 and iters == 1
     assert np.linalg.norm(x - spsolve(A.tocsc(), b)) <= 1e-12 * np.linalg.norm(x)
