@@ -13,8 +13,11 @@ separates the degeneracy regimes. The capacity and Hardy systems share one
 smoothed-aggregation multigrid hierarchy: the capacity solve is conjugate
 gradients preconditioned by its V-cycle, the Hardy quotient LOBPCG with the
 same V-cycle as preconditioner, stopped on the squared relative
-eigen-residual. scipy is imported inside the functions that use it, so
-importing snowcap loads numpy alone and scipy loads on first use.
+eigen-residual. The two small dense steps, the coarsest level's solve and
+LOBPCG's Rayleigh-Ritz step, run on numpy's linear algebra, so the solvers
+use scipy.sparse alone and never load scipy.linalg's own BLAS. scipy is
+imported inside the functions that use it, so importing snowcap loads numpy
+alone and scipy loads on first use.
 """
 
 from __future__ import annotations
@@ -139,21 +142,31 @@ def _restrict(faces, keep: np.ndarray, term):
         i, j = rank[lo][both], rank[hi][both]
         cols[i, 2 * d - ax], cols[j, ax] = j, i
         vals[i, 2 * d - ax] = vals[j, ax] = -faces[ax][lo][both]
+    del rank, i, j
     full = term + outer
     for slot in (*range(2 * d, d, -1), *range(d)):  # up-faces (2d - ax), down (ax)
         full -= vals[:, slot]
     cols[:, d], vals[:, d] = np.arange(m), full
+    del full
     has = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(has.sum(axis=1), dtype=index)])
-    return csr_matrix((vals[has], cols[has], indptr), shape=(m, m)), outer
+    # the running count of kept slots, read at each row's last slot
+    indptr = np.zeros(m + 1, dtype=index)
+    indptr[1:] = np.cumsum(has.ravel(), dtype=index)[2 * d::2 * d + 1]
+    # each slot table is freed as soon as it is compacted
+    data = vals[has]
+    del vals
+    indices = cols[has]
+    del cols, has
+    return csr_matrix((data, indices, indptr), shape=(m, m)), outer
 
 
 # smoothed aggregation: cells per aggregate along each axis (2 densifies the
 # coarse stencils to ~35 nonzeros per row two levels down and more than
-# doubles the hierarchy's memory), the largest level solved directly, the
-# weight of the Jacobi smoother, and the iteration count taken as a stall
+# doubles the hierarchy's memory), the largest level solved directly (its
+# dense inverse takes 0.7 ms at 150 rows but 9.4 ms at 400, one BLAS thread),
+# the weight of the Jacobi smoother, and the iteration count taken as a stall
 _AGG = 3
-_COARSE_ROWS = 400
+_COARSE_ROWS = 150
 _SMOOTH_W = 0.6
 _MAX_PCG_ITERS = 500
 
@@ -220,12 +233,12 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
     Unknown k sits on the integer grid cell coords[k]. Each level groups the
     unknowns of every 3^d block of cells into one aggregate, smooths the
     piecewise-constant prolongator P0 by one damped-Jacobi step,
-    P = P0 - (2/3) D^-1 A P0, and passes the Galerkin operator P^T A P down;
-    a level of at most _COARSE_ROWS rows is factored densely. Returns the
-    levels above the coarsest, finest first, and the coarsest level's solve.
+    P = P0 - (2/3) D^-1 A P0, and passes the Galerkin operator P^T A P down
+    to a level of at most _COARSE_ROWS rows. That level is checked positive
+    definite by a dense Cholesky factorization and inverted once, so its
+    solve is one small matrix-vector product. Returns the levels above the
+    coarsest, finest first, and the coarsest level's solve.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
     diag = A.diagonal()
     if not diag.min() > 0:  # weights that underflow at large delta
         raise SolverDiverged("a matrix row has no weight: the form's weights underflow")
@@ -236,11 +249,13 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
         levels.append((A, _SMOOTH_W / diag, P, R))
         A = R @ (A @ P)
         diag = A.diagonal()
+    dense = A.toarray()
     try:
-        factor = cho_factor(A.toarray())
-    except LinAlgError as err:  # weights spread too widely, e.g. 1e-262 to 1
+        np.linalg.cholesky(dense)
+    except np.linalg.LinAlgError as err:  # weights spread too widely, e.g. 1e-262 to 1
         raise SolverDiverged(f"coarsest multigrid level is not positive definite: {err}") from err
-    return levels, lambda r: cho_solve(factor, r)
+    inverse = np.linalg.inv(dense)
+    return levels, lambda r: inverse @ r
 
 
 def _spd_solver(A: csr_matrix, cells: np.ndarray):
@@ -473,12 +488,19 @@ def _hardy_pencil(field: DistanceField, region: tuple, delta: float):
     return K, h**d * dist[ball] ** (delta - 2.0)
 
 
+def _ritz(gk: np.ndarray, gm: np.ndarray) -> np.ndarray:
+    """The eigenvector c of the smallest eigenvalue of the small pencil
+    gk c = mu gm c, gm-normalized, by Cholesky reduction: with gm = L L^T,
+    y is the first eigenvector of L^-1 gk L^-T and c = L^-T y."""
+    Li = np.linalg.inv(np.linalg.cholesky(gm))
+    y = np.linalg.eigh(Li @ gk @ Li.T)[1][:, 0]
+    return Li.T @ y
+
+
 def _hardy_solve(field: DistanceField, region: tuple, delta: float, tol: float,
                  max_outer: int) -> _HardyResult:
     """`hardy_quotient` on the (box, ball) region of `_ball`, its options
     already checked."""
-    from scipy.linalg import eigh
-
     K, mass = _hardy_pencil(field, region, delta)
     box, ball = region
     # grid coordinates, not box ones: the 3^d aggregates are aligned to the grid
@@ -519,7 +541,7 @@ def _hardy_solve(field: DistanceField, region: tuple, delta: float, tol: float,
         k = rows
         while k > 1 and np.linalg.eigvalsh(gm[:k, :k])[0] <= _GRAM_FLOOR:
             k -= 1
-        coef = eigh(gk[:k, :k], gm[:k, :k], subset_by_index=[0, 0])[1][:, 0]
+        coef = _ritz(gk[:k, :k], gm[:k, :k])
         p, kp = coef[1:] @ S[1:k], coef[1:] @ KS[1:k]
         step = np.sqrt(p @ (mass * p))
         if not step > 0:

@@ -114,7 +114,7 @@ def similarity_dimension(system: SimilaritySystem) -> float:
     d = float(system.dim)
 
     def f(s):
-        return float(np.sum(r**s))
+        return float(np.add.reduce(r**s))  # np.sum's reduction without its dispatch
 
     if f(d) > 1.0 + 1e-9:
         raise NoSolutionInRange(

@@ -494,14 +494,20 @@ def test_capacity_with_underflowed_weights_has_zero_residual(capsys):
 
 
 UNDERFLOWED_HARDY = {
-    "no-weight": ("400", "0.3"),  # the ball's pencil is 0: one direct level
-    "no-weight-multilevel": ("400", "0.7"),  # more than 400 cells: a hierarchy
-    "weights-1e-262-to-1": ("150", "0.3"),  # the coarse factorization fails
+    # the ball's pencil is 0: 118 cells, one direct level
+    "no-weight": ("400", "0.22", "no weight"),
+    # 522 cells, more than the coarse size: a hierarchy
+    "no-weight-multilevel": ("400", "0.7", "no weight"),
+    # 118 cells: the one direct level's Cholesky check fails
+    "weights-1e-262-to-1": ("150", "0.22", "not positive definite"),
+    # 218 cells: the check fails on the coarsest level of a hierarchy
+    "weights-1e-262-to-1-multilevel": ("150", "0.3", "not positive definite"),
 }
 
 
-@pytest.mark.parametrize("delta, r", UNDERFLOWED_HARDY.values(), ids=UNDERFLOWED_HARDY.keys())
-def test_hardy_with_underflowed_weights_is_a_solver_failure(delta, r, capsys):
+@pytest.mark.parametrize("delta, r, message", UNDERFLOWED_HARDY.values(),
+                         ids=UNDERFLOWED_HARDY.keys())
+def test_hardy_with_underflowed_weights_is_a_solver_failure(delta, r, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "hardy", "--family", "koch", "--lambda", "0.3333333333",
@@ -509,6 +515,7 @@ def test_hardy_with_underflowed_weights_is_a_solver_failure(delta, r, capsys):
     assert rc == 3
     assert out == ""
     assert json.loads(err)["error"] == "solver"
+    assert message in json.loads(err)["message"]
 
 
 def test_solver_failure_exit_code(capsys):

@@ -73,14 +73,18 @@ snowcap.cli.run_subcommand(["fractal", "--family", "cantor", "--lambda", "0.25",
 loaded = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
 cap = capacity_relaxed(field, 1.0, 2 * grid.h).value
 hardy = hardy_quotient(field, 1.0, (0.0, 0.0), 0.4)
-print(json.dumps([loaded, cap, hardy, "scipy.sparse.linalg" in sys.modules]))
+print(json.dumps([loaded, cap, hardy, "scipy.sparse.linalg" in sys.modules,
+                  "scipy.linalg" in sys.modules]))
 """
 
 
 def test_numpy_paths_load_no_scipy(tmp_path):
-    loaded, cap, hardy, sparse_linalg = _fresh(_COLD_PATHS, str(tmp_path / "dust.txt"))
+    loaded, cap, hardy, sparse_linalg, linalg = _fresh(_COLD_PATHS, str(tmp_path / "dust.txt"))
     # scipy is imported by the solvers that use it, on first use
     assert loaded == []
     assert cap > 0 and hardy > 0
     # the capacity solve runs its own PCG loop
     assert not sparse_linalg
+    # the dense coarse solve and the Ritz step run on numpy, so the solvers
+    # load scipy.sparse alone and not scipy's second OpenBLAS
+    assert not linalg

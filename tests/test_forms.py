@@ -31,10 +31,12 @@ from snowcap import (
     uniformity_estimate,
 )
 from snowcap.forms import (
+    _GRAM_FLOOR,
     _faces,
     _hardy_pencil,
     _hardy_solve,
     _restrict,
+    _ritz,
     _spd_solver,
 )
 from snowcap.geomfield import _ball
@@ -269,22 +271,22 @@ def test_capacity_stall_raises(koch128, monkeypatch):
 CAPACITY_PINS = {
     "koch128": (
         {
-            0.5: ("0x1.597024a5fc8a8p-1", "0x1.5702d8813283dp-27", 11, 3,
+            0.5: ("0x1.597024a5fc8a9p-1", "0x1.5702d8829b8d0p-27", 11, 3,
                   "0x1.ecc808cb53090p+1"),
-            1.0: ("0x1.50cd59a74da77p-1", "0x1.54c6c943d0c34p-29", 12, 3,
+            1.0: ("0x1.50cd59a74da77p-1", "0x1.54c6c9234d214p-29", 12, 3,
                   "0x1.f03d95f2a3a0cp-1"),
-            2.0: ("0x1.1597958275d57p-1", "0x1.846c37789ee26p-29", 12, 3,
+            2.0: ("0x1.1597958275d56p-1", "0x1.846c37fb233b4p-29", 12, 3,
                   "0x1.4169d5008c176p-3"),
         },
         "80452ce26fb53c606b9964e70c99dd4d7245081269faf13ce727bd7e040ef81e",
     ),
     "cantor96": (
         {
-            0.5: ("0x1.f021be866e466p-1", "0x1.151edf216205fp-27", 11, 3,
+            0.5: ("0x1.f021be866e464p-1", "0x1.151edf0e32d5ap-27", 11, 3,
                   "0x1.315a7b284c0e8p+2"),
-            1.0: ("0x1.db82826633416p-1", "0x1.3fddf7fb5aaffp-27", 11, 3,
+            1.0: ("0x1.db82826633415p-1", "0x1.3fddf7dbd2190p-27", 11, 3,
                   "0x1.0384200b3359ap+0"),
-            2.0: ("0x1.669b5c1cc67a4p-1", "0x1.d60e0be927a63p-29", 12, 3,
+            2.0: ("0x1.669b5c1cc67a6p-1", "0x1.d60e0c2010c17p-29", 12, 3,
                   "0x1.3f36bf2623ba0p-3"),
         },
         "cd68e0b585cd8c64e896faf75b95ff1156a7cacffb76fe92d0eb73a5ec5742cb",
@@ -372,6 +374,23 @@ def test_capacity_assembly_memory_is_bounded(koch512):
     assert peak < 30e6
 
 
+def test_restrict_memory_is_bounded(koch512):
+    # _restrict alone on the 119,092 free cells of koch13 at 512 peaks at
+    # 14.4 MB; the bound fails slot tables kept alive beside their compacted
+    # copies (20.5 MB)
+    field = koch512
+    form = assemble_form(field, 1.0)
+    free = field.grid.omega_mask & ~(field.values < 0.01)
+    tracemalloc.start()
+    try:
+        A, _ = _restrict(form.faces, free, field.grid.h**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (int(free.sum()),) * 2
+    assert peak < 17e6
+
+
 def test_capacity_solve_memory_is_bounded(koch512):
     # the whole solve on the 119,092 free cells of koch13 at 512: the
     # level-0 Galerkin product and the CG each peak at 27.5 MB. The bound
@@ -421,9 +440,9 @@ def test_spd_solver_matches_direct_solve(mask, delta):
 
 
 def test_spd_solver_small_system_is_one_direct_level():
-    mask = np.ones((20, 20), dtype=bool)
-    A = _grid_system(mask)  # 400 rows: the coarse size
-    b = np.random.default_rng(4).standard_normal(400)
+    mask = np.ones((12, 12), dtype=bool)
+    A = _grid_system(mask)  # 144 rows: at most the coarse size
+    b = np.random.default_rng(4).standard_normal(144)
     solve, levels = _spd_solver(A, mask)
     x, iters = solve(b, None, 1e-12)
     assert levels == 1 and iters == 1
@@ -576,12 +595,50 @@ def test_hardy_1d_matches_dense_eigensolver():
     assert abs(b - ref) <= 1e-5 * ref
 
 
+def _spd(rng, k, smallest=None):
+    # a random k x k SPD matrix, eigenvalues in [0.5, 2), the first smallest if given
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    ev = rng.uniform(0.5, 2.0, k)
+    if smallest is not None:
+        ev[0] = smallest
+    return (q * ev) @ q.T
+
+
+# (k, smallest eigenvalue of gm, vector tolerance). Near the floor gm's
+# condition number is up to 1e8, so two backward-stable solvers agree on the
+# vector only to about machine epsilon times that: over 2,000 draws the
+# median gap was 7e-12 and the largest 4.6e-7. scipy's eigenvalue then also
+# carries an error of epsilon times the pencil's largest eigenvalue (~1e8),
+# 1e-8 relative, so both sides are compared as Rayleigh quotients.
+RITZ_PENCILS = {
+    "k1": (1, None, 1e-12),
+    "k2": (2, None, 1e-12),
+    "k3": (3, None, 1e-12),
+    "k3-near-floor": (3, 2 * _GRAM_FLOOR, 1e-6),
+}
+
+
+@pytest.mark.parametrize("k, smallest, vec_tol", RITZ_PENCILS.values(), ids=RITZ_PENCILS.keys())
+def test_ritz_matches_scipy_eigh(k, smallest, vec_tol):
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        gk, gm = _spd(rng, k), _spd(rng, k, smallest)
+        assert np.linalg.eigvalsh(gm)[0] > _GRAM_FLOOR
+        w, v = eigh(gk, gm, subset_by_index=[0, 0])
+        v, c = v[:, 0], _ritz(gk, gm)
+        ref = w[0] if smallest is None else (v @ gk @ v) / (v @ gm @ v)
+        assert abs((c @ gk @ c) / (c @ gm @ c) - ref) <= 1e-12 * ref
+        assert abs(c @ gm @ c - 1.0) <= 1e-12  # gm-normalized, as scipy's
+        e = c - np.sign(c @ gm @ v) * v  # equal up to sign, in the gm-norm
+        assert np.sqrt(e @ gm @ e) <= vec_tol
+
+
 def test_hardy_small_balls_match_dense_answer():
-    field = line_field(300)
+    field = line_field(150)
     h = field.grid.h
     for delta in (0.0, 1.0, 2.0):
-        # 300 cells: the hierarchy is a single direct level
-        ref = line_ground_value(300, delta)
+        # 150 cells: the hierarchy is a single direct level
+        ref = line_ground_value(150, delta)
         res = _hardy_solve(field, _ball(field.grid, (0.0,), 1.0), delta, 1e-6, 200)
         assert res.levels == 1
         assert abs(res.quotient - ref) <= 1e-8 * ref
