@@ -192,9 +192,9 @@ def _hardy(args, grid, build_field, params):
     z = _parse_point(args.z, args.d)
     params["z"] = list(z)
     r = _parse_length(args.r, grid.h)
-    _check_hardy(args.tol, args.max_outer)
+    _check_hardy(args.tol)
     region = _ball(grid, z, r)
-    res = _hardy_solve(build_field(), region, args.delta, args.tol, args.max_outer)
+    res = _hardy_solve(build_field(), region, args.delta, args.tol)
     return {**_outputs(res), "z": list(z), "r": r}, {"tol": args.tol}, 0
 
 
@@ -377,8 +377,7 @@ def _svg_phase(records) -> str:
         f'<text x="{ml + W / 2:.1f}" y="{mt - 12:.1f}" text-anchor="middle">'
         f"capacity trend: {family} d={dim}</text>",
     ]
-    cw = W / len(lams) if len(lams) else W
-    ch = H / len(dels) if len(dels) else H
+    cw, ch = W / len(lams), H / len(dels)
     for r in cells:
         x = sx(r.lam) - cw / 2.0
         y = sy(r.delta) - ch / 2.0
@@ -510,7 +509,6 @@ _SPECS = {
             ("--r", dict(required=True, help="ball radius (number or multiple of h)")),
             ("--tol", dict(type=float, default=1e-6,
                            help="bound on the squared relative eigen-residual")),
-            ("--max-outer", dict(type=int, default=200, help="cap on LOBPCG iterations")),
         )),
     "collar": _Spec(
         "regularized collar integral over a tau ladder, with fitted exponent", _collar,
@@ -572,8 +570,8 @@ def _with_config(argv: list) -> list:
     with each flag's type and the command line's own flags, parsed after
     them, win.
 
-    A key is a long option name without its dashes or an option's dest; a
-    value is a JSON string or number, read as the flag's text.
+    A key is a long option name without its dashes (`cg-tol`, `lambda`,
+    `in`); a value is a JSON string or number, read as the flag's text.
     """
     if not argv or argv[0] not in _SPECS:
         return argv
@@ -586,10 +584,7 @@ def _with_config(argv: list) -> list:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    flags = {}
-    for flag, kwargs in _SPECS[argv[0]].options:
-        name = flag.lstrip("-")
-        flags[name] = flags[kwargs.get("dest", name.replace("-", "_"))] = flag
+    flags = {flag.lstrip("-"): flag for flag, _ in _SPECS[argv[0]].options}
     unknown = set(cfg) - set(flags)
     if unknown:
         raise ValueError(f"config keys not accepted by {argv[0]!r}: {sorted(unknown)}")

@@ -164,11 +164,13 @@ def _restrict(faces, keep: np.ndarray, term):
 # coarse stencils to ~35 nonzeros per row two levels down and more than
 # doubles the hierarchy's memory), the largest level solved directly (its
 # dense inverse takes 0.7 ms at 150 rows but 9.4 ms at 400, one BLAS thread),
-# the weight of the Jacobi smoother, and the iteration count taken as a stall
+# the weight of the Jacobi smoother, and the iteration caps of PCG and LOBPCG,
+# which only detect stalls (both converge in tens of iterations)
 _AGG = 3
 _COARSE_ROWS = 150
 _SMOOTH_W = 0.6
 _MAX_PCG_ITERS = 500
+_MAX_LOBPCG_ITERS = 200
 
 # LOBPCG drops a search direction when the smallest eigenvalue of the mass
 # Gram matrix of its M-normalized basis falls to this floor, about the square
@@ -417,14 +419,7 @@ def capacity_relaxed(
 # --- local Hardy quotient ---------------------------------------------------------
 
 
-def hardy_quotient(
-    field: DistanceField,
-    delta: float,
-    z,
-    r: float,
-    tol: float = 1e-6,
-    max_outer: int = 200,
-) -> float:
+def hardy_quotient(field: DistanceField, delta: float, z, r: float, tol: float = 1e-6) -> float:
     """Smallest Rayleigh quotient h(phi) / sum h^d clamp(d)^(delta-2) phi^2
     over functions supported on the in-domain cells within r of z.
 
@@ -438,15 +433,15 @@ def hardy_quotient(
     the previous step. It stops once the squared relative residual
     (||K v - lambda M v||_{M^-1} / lambda)^2 is at most tol; that bounds the
     relative eigenvalue error by tol times lambda over the spectral gap
-    (Kato-Temple). It raises SolverDiverged past max_outer iterations or
-    when the search directions lose rank, which is also how a tol below the
-    attainable accuracy ends. A negative or NaN delta, a tol that is not
-    positive and finite, or a negative max_outer raises ValueError before
-    the ball is built.
+    (Kato-Temple). It raises SolverDiverged past `_MAX_LOBPCG_ITERS`
+    iterations, when the mass underflows to 0 on a ball cell, or when the
+    search directions lose rank, which is also how a tol below the
+    attainable accuracy ends. A negative or NaN delta, or a tol that is not
+    positive and finite, raises ValueError before the ball is built.
     """
     _check_delta(delta)
-    _check_hardy(tol, max_outer)
-    return _hardy_solve(field, _ball(field.grid, z, r), delta, tol, max_outer).quotient
+    _check_hardy(tol)
+    return _hardy_solve(field, _ball(field.grid, z, r), delta, tol).quotient
 
 
 @dataclass(frozen=True)
@@ -462,12 +457,10 @@ class _HardyResult:
     vector: np.ndarray
 
 
-def _check_hardy(tol: float, max_outer: int) -> None:
-    """The solver options `hardy_quotient` refuses."""
+def _check_hardy(tol: float) -> None:
+    """The solver option `hardy_quotient` refuses."""
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    if max_outer < 0:
-        raise ValueError("max_outer must be >= 0")
 
 
 def _hardy_pencil(field: DistanceField, region: tuple, delta: float):
@@ -497,14 +490,17 @@ def _ritz(gk: np.ndarray, gm: np.ndarray) -> np.ndarray:
     return Li.T @ y
 
 
-def _hardy_solve(field: DistanceField, region: tuple, delta: float, tol: float,
-                 max_outer: int) -> _HardyResult:
+def _hardy_solve(field: DistanceField, region: tuple, delta: float, tol: float) -> _HardyResult:
     """`hardy_quotient` on the (box, ball) region of `_ball`, its options
     already checked."""
     K, mass = _hardy_pencil(field, region, delta)
     box, ball = region
     # grid coordinates, not box ones: the 3^d aggregates are aligned to the grid
     levels, coarse = _hierarchy(K, np.argwhere(ball) + [s.start for s in box])
+    # at large delta h^d dist^(delta-2) underflows while K's diagonal does not
+    if not mass.min() > 0:
+        raise SolverDiverged(f"the Hardy mass underflows to 0 on "
+                             f"{np.count_nonzero(mass == 0)} of {len(mass)} ball cells")
 
     # rows of S: the M-normalized iterate x, the preconditioned residual w and
     # the last step p; rows of KS their images under K. K x and K p follow x
@@ -527,9 +523,9 @@ def _hardy_solve(field: DistanceField, region: tuple, delta: float, tol: float,
                 break
             kx[:], fresh = K @ x, True
             continue
-        if iters >= max_outer:
+        if iters >= _MAX_LOBPCG_ITERS:
             raise SolverDiverged(
-                f"LOBPCG exceeded {max_outer} iterations at relative residual {resid:.3e}"
+                f"LOBPCG exceeded {_MAX_LOBPCG_ITERS} iterations at relative residual {resid:.3e}"
             )
         iters += 1
         w = _vcycle(levels, coarse, res)

@@ -215,7 +215,10 @@ def _start_index(grid, cfg: WalkConfig) -> int:
     if np.isscalar(start):
         start = _integral(start)
     else:
-        start = int(np.ravel_multi_index(tuple(_integral(k) for k in start), grid.dims))
+        idx = tuple(_integral(k) for k in start)
+        # a per-axis start off the grid is flagged -1, refused below like a flat one
+        inside = len(idx) == len(grid.dims) and all(0 <= i < n for i, n in zip(idx, grid.dims))
+        start = int(np.ravel_multi_index(idx, grid.dims)) if inside else -1
     if not (0 <= start < grid.n_cells) or not grid.omega_mask.ravel()[start]:
         raise ValueError("start cell must be inside the domain")
     return start

@@ -292,7 +292,8 @@ REFUSED = {
                           "start cell must be inside the domain"),
     "hardy-r-0": ([*_HARDY, "--r", "0"], "no in-domain cell within 0.0 of z", "empty-domain"),
     "hardy-r-inf": ([*_HARDY, "--r", "inf"], "length 'inf' must be finite"),
-    "hardy-max-outer": ([*_HARDY, "--r", "12h", "--max-outer", "-1"], "max_outer must be >= 0"),
+    "hardy-max-outer": ([*_HARDY, "--r", "12h", "--max-outer", "-1"],
+                        "unrecognized arguments: --max-outer -1"),
     "hardy-tol-0": ([*_HARDY, "--r", "12h", "--tol", "0"], _TOL),
     "hardy-tol-nan": ([*_HARDY, "--r", "12h", "--tol", "nan"], _TOL),
     "collar-rho": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "4h"], "need 0 < tau < rho"),
@@ -370,7 +371,9 @@ CONFIG_AS_FLAGS = {
     "delta": ({"delta": 1}, ["--delta", "1"], None),
     "eps": ({"eps": 0.25}, ["--eps", "0.25"], None),
     "resolution": ({"resolution": 32}, ["--resolution", "32"], "1fbd51cf03ae65f1"),
-    "dests": ({"lam": 0.25, "cg_tol": 1e-9}, ["--lambda", "0.25", "--cg-tol", "1e-9"], None),
+    # options whose Python names (lam, cg_tol) differ from their flags: the
+    # key is the flag's long name
+    "dests": ({"lambda": 0.25, "cg-tol": 1e-9}, ["--lambda", "0.25", "--cg-tol", "1e-9"], None),
 }
 
 
@@ -418,13 +421,18 @@ def test_config_values_are_checked_as_flags(cfg, message, field_builds, tmp_path
     assert field_builds == []
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
+def test_config_rejects_unknown_keys(field_builds, tmp_path, capsys):
+    # a key is a long option name; an option's Python name is not one
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    rc, _, err = run(capsys, "capacity", "--config", str(cfg), "--family", "koch",
-                     "--lambda", "0.3", "--delta", "1.0")
-    assert rc == 2
-    assert "bogus" in json.loads(err)["message"]
+    for keys in ({"bogus": 1}, {"lam": 0.25, "cg_tol": 1e-9}):
+        cfg.write_text(json.dumps(keys))
+        rc, out, err = run(capsys, "capacity", "--config", str(cfg), "--family", "koch",
+                           "--lambda", "0.3", "--delta", "1.0")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "config",
+            "message": f"config keys not accepted by 'capacity': {sorted(keys)}"}
+    assert field_builds == []
 
 
 def test_missing_required_option_is_config_error(capsys):
@@ -502,6 +510,9 @@ UNDERFLOWED_HARDY = {
     "weights-1e-262-to-1": ("150", "0.22", "not positive definite"),
     # 218 cells: the check fails on the coarsest level of a hierarchy
     "weights-1e-262-to-1-multilevel": ("150", "0.3", "not positive definite"),
+    # 97 cells: K is positive definite, but the mass is 0 on the 10 nearest
+    # the boundary, where dist^398 underflows
+    "mass-underflow": ("400", "0.2", "mass underflows"),
 }
 
 
@@ -518,10 +529,11 @@ def test_hardy_with_underflowed_weights_is_a_solver_failure(delta, r, message, c
     assert message in json.loads(err)["message"]
 
 
-def test_solver_failure_exit_code(capsys):
+def test_solver_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("snowcap.forms._MAX_LOBPCG_ITERS", 0)
     rc, _, err = run(capsys, "hardy", "--family", "cantor", "--lambda", "0.25",
                      "--d", "2", "--resolution", "32", "--delta", "0.5",
-                     "--z", "0.0,0.0", "--r", "0.4", "--max-outer", "0")
+                     "--z", "0.0,0.0", "--r", "0.4")
     assert rc == 3
     assert json.loads(err)["error"] == "solver"
 
@@ -538,6 +550,15 @@ def test_help_shows_required_options_unbracketed(name, capsys):
         metavar = kw.get("dest", flag.lstrip("-").replace("-", "_")).upper()
         assert f" {flag} {metavar}" in usage
         assert f"[{flag} {metavar}]" not in usage
+
+
+def test_version_and_missing_subcommand(capsys):
+    # no subcommand to read a config file for: argv goes to argparse as given
+    assert run(capsys, "--version") == (0, "snowcap 0.1.0\n", "")
+    rc, out, err = run(capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "config",
+                               "message": "the following arguments are required: cmd"}
 
 
 # --- depth selection ----------------------------------------------------------
@@ -693,6 +714,17 @@ def test_report_writes_csv_and_svg(sweep_stream, tmp_path, capsys):
     assert body.count("<rect") == 1 + 88 + 2  # frame + cells + legend swatches
     assert "polyline" in body  # critical-threshold overlay
     assert "delta_c(lambda)" in body
+
+
+def test_report_of_one_lambda(tmp_path, capsys):
+    # one lambda: its cell's width comes from the padding of a one-value axis
+    stream, svg = str(tmp_path / "r.jsonl"), str(tmp_path / "phase.svg")
+    assert run(capsys, "sweep", "--family", "cantor", "--d", "2", "--lambdas", "0.25:0.25:1",
+               "--deltas", "0:2:3", "--resolution", "16", "--out", stream)[0] == 0
+    rc, out, _ = run(capsys, "report", "--in", stream, "--out", svg)
+    assert rc == 0
+    assert len(open(json.loads(out)["csv"]).read().splitlines()) == 4
+    assert open(svg).read().count("<rect") == 1 + 3 + 2
 
 
 def test_report_without_sweep_records_fails(tmp_path, capsys):

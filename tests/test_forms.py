@@ -639,7 +639,7 @@ def test_hardy_small_balls_match_dense_answer():
     for delta in (0.0, 1.0, 2.0):
         # 150 cells: the hierarchy is a single direct level
         ref = line_ground_value(150, delta)
-        res = _hardy_solve(field, _ball(field.grid, (0.0,), 1.0), delta, 1e-6, 200)
+        res = _hardy_solve(field, _ball(field.grid, (0.0,), 1.0), delta, 1e-6)
         assert res.levels == 1
         assert abs(res.quotient - ref) <= 1e-8 * ref
         # one cell at distance x, both faces closed: 4 c / h over h x^(delta-2)
@@ -657,7 +657,7 @@ def test_hardy_quotient_meets_its_stop_rule():
         K, mass = _hardy_pencil(field, ball, delta)
         for tol in (1e-14, 1e-16, 1e-18):
             try:
-                sol = _hardy_solve(field, ball, delta, tol, 200)
+                sol = _hardy_solve(field, ball, delta, tol)
             except SolverDiverged:
                 continue
             b, v = sol.quotient, sol.vector
@@ -665,10 +665,12 @@ def test_hardy_quotient_meets_its_stop_rule():
             assert res @ (res / mass) <= tol * b * b
 
 
-def test_hardy_iteration_cap_raises():
+def test_hardy_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr("snowcap.forms._MAX_LOBPCG_ITERS", 0)
     with pytest.raises(SolverDiverged, match="exceeded 0 iterations"):
-        hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0, max_outer=0)
-    b = hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0, max_outer=20)
+        hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0)
+    monkeypatch.setattr("snowcap.forms._MAX_LOBPCG_ITERS", 20)
+    b = hardy_quotient(line_field(1000), 0.5, (0.0,), 1.0)
     assert b > 0
 
 
@@ -679,8 +681,6 @@ def test_hardy_validation():
     for tol in (0.0, -1e-6, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             hardy_quotient(field, 0.5, (5.0,), 0.1, tol=tol)
-    with pytest.raises(ValueError, match="max_outer must be >= 0"):
-        hardy_quotient(field, 0.5, (5.0,), 0.1, max_outer=-1)
     for delta in (-1.0, np.nan):
         with pytest.raises(ValueError, match="delta must be >= 0"):
             hardy_quotient(field, delta, (5.0,), 0.1)
@@ -740,7 +740,7 @@ def test_hardy_2d_matches_dense_eigensolver(centers):
 
 def test_hardy_vector_consistency():
     field = line_field(4000)
-    res = _hardy_solve(field, _ball(field.grid, (0.0,), 1.0), 0.5, 1e-6, 200)
+    res = _hardy_solve(field, _ball(field.grid, (0.0,), 1.0), 0.5, 1e-6)
     b, vec = res.quotient, res.vector
     x = field.grid.axis_centers(0)
     mass = field.grid.h * np.maximum(x, field.grid.h / 2) ** (0.5 - 2.0)

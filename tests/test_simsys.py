@@ -61,6 +61,15 @@ def test_single_map_dimension_zero():
     assert similarity_dimension(sys_) == 0.0
 
 
+def test_space_filling_system_has_the_ambient_dimension():
+    # four maps of ratio 1/2 tile the square: s = d exactly, and a boundary
+    # of full dimension has no threshold
+    s = similarity_dimension(SimilaritySystem(2, tuple(_corner_maps(0.5, 2))))
+    assert s == 2.0
+    with pytest.raises(ValueError, match="requires 0 < s < d"):
+        critical_delta(s, 2)
+
+
 def test_overlapping_system_rejected():
     maps = tuple(Similarity(0.9, np.eye(1), np.array([t])) for t in (0.0, 0.1))
     with pytest.raises(NoSolutionInRange):

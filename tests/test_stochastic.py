@@ -154,6 +154,15 @@ def test_start_must_be_integral(dust128):
     assert all(res == results[0] for res in results)
 
 
+def test_start_off_the_grid_is_outside_the_domain(dust128):
+    # a per-axis start off the grid, or with the wrong number of axes, gets
+    # the same refusal as a flat one off the grid
+    form = assemble_form(dust128, 0.0)
+    for start in ((999, 0), (-1, 4), (4,), (4, 4, 4), 128 * 128, -1):
+        with pytest.raises(ValueError, match="start cell must be inside the domain"):
+            walk_absorption(form, dust128, WalkConfig(start, 0.3, 10, 1, 4 * dust128.grid.h))
+
+
 def test_grid_mismatch_raises(line64, dust128):
     _, form = line64
     cfg = WalkConfig((16, 16), 0.3, 10, 1, 4 * dust128.grid.h)
