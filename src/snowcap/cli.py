@@ -1,7 +1,7 @@
 """Command-line driver: single experiments, parameter sweeps, phase reports.
 
-Subcommands: fractal, dimension, capacity, hardy, collar, walk, sweep and
-report, each described by one `_Spec` in `_SPECS` (`snowcap --help` lists
+Subcommands: dimension, capacity, hardy, collar, walk, sweep and report,
+each described by one `_Spec` in `_SPECS` (`snowcap --help` lists
 them with their help lines).
 
 Every experiment appends one `ExperimentRecord` to a JSON-lines stream when a
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateFit, SnowcapError, SolverDiverged, EmptyDomain, EmptyRegion
-from .simsys import named_family, similarity_dimension, critical_delta, geometry_to_text
+from .simsys import named_family, similarity_dimension, critical_delta
 from .geomfield import _ball, build_grid, distance_field
 from .forms import (
     _check_capacity, _check_collar, _check_delta, _check_hardy, _collar_sum, _hardy_solve,
@@ -226,22 +226,7 @@ def _walk(args, grid, build_field, params):
     return _outputs(res), {}, cfg.seed
 
 
-# --- subcommands without a field ----------------------------------------------------
-
-
-def _cmd_fractal(args) -> dict:
-    geom = named_family(args.family).geometry(args.lam, args.d, args.depth)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(geometry_to_text(geom))
-    return {
-        "family": args.family,
-        "lambda": args.lam,
-        "d": args.d,
-        "depth": args.depth,
-        "primitives": len(geom.primitives),
-        "approx_error": geom.approx_error,
-        "out": args.out,
-    }
+# --- the subcommand without a field -------------------------------------------------
 
 
 def _cmd_dimension(args) -> dict:
@@ -487,12 +472,6 @@ _FIELD = _GEOMETRY + (
 _Z = ("--z", dict(required=True, help="ball center, comma-separated"))
 
 _SPECS = {
-    "fractal": _Spec(
-        "realize a boundary family and export it in the text format", _cmd_fractal,
-        options=_GEOMETRY + (
-            ("--depth", dict(type=int, required=True)),
-            ("--out", dict(required=True, help="text-format geometry path")),
-        )),
     "dimension": _Spec(
         "print the similarity dimension and the uniqueness threshold", _cmd_dimension,
         options=_GEOMETRY + (_RECORDS,)),

@@ -10,7 +10,6 @@ the plane, axis-aligned boxes otherwise) suitable for gridding.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +30,6 @@ __all__ = [
     "vicsek",
     "cantor_dust",
     "realize",
-    "geometry_to_text",
-    "geometry_from_text",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -79,13 +76,11 @@ class SimilaritySystem:
     ----------
     dim : ambient dimension d >= 1.
     maps : the contracting similarities, all acting on R^d.
-    family : a key of FAMILIES, or "custom".
-    lam : generator parameter for the named families, None for "custom".
+    lam : generator parameter of the named family that built the system, else None.
     """
 
     dim: int
     maps: tuple
-    family: str = "custom"
     lam: float | None = None
 
     def __post_init__(self):
@@ -299,7 +294,7 @@ class Family:
         if not (0.0 < lam < self.lam_max if self.lam_max_open else 0.0 < lam <= self.lam_max):
             bracket = ")" if self.lam_max_open else "]"
             raise ValueError(f"{self.name} requires lambda in (0, {self.lam_max:.6g}{bracket}")
-        return SimilaritySystem(dim, self.maps(lam, dim), family=self.name, lam=lam)
+        return SimilaritySystem(dim, self.maps(lam, dim), lam=lam)
 
     def approx_error(self, system: SimilaritySystem, depth: int) -> float:
         """Hausdorff error of a realization: r_max^depth times the diameter of
@@ -365,62 +360,3 @@ def cantor_dust(lam: float, dim: int, depth: int) -> BoundaryGeometry:
     """Cantor dust boundary: 2^d corner cubes of side lam per round. The dust
     is totally disconnected; the domain is the complement of the box union."""
     return FAMILIES["cantor-dust"].geometry(lam, dim, depth)
-
-
-# --- line-oriented geometry exchange format ---------------------------------
-#
-# header:  G d=<dim> depth=<k> family=<tag> lambda=<float> rule=<rule>
-# then one primitive per line:
-#   S x1 y1 x2 y2                  (segment, d = 2)
-#   B lo1 .. lod hi1 .. hid        (axis-aligned box)
-
-
-def geometry_to_text(geom: BoundaryGeometry) -> str:
-    family = geom.system.family if geom.system is not None else "custom"
-    lam = geom.system.lam if geom.system is not None else None
-    out = io.StringIO()
-    out.write(
-        f"G d={geom.dim} depth={geom.depth} family={family} "
-        f"lambda={'nan' if lam is None else repr(lam)} rule={geom.domain_rule}\n"
-    )
-    if geom.kind == "segments":
-        for (x1, y1), (x2, y2) in geom.primitives:
-            out.write(f"S {float(x1)!r} {float(y1)!r} {float(x2)!r} {float(y2)!r}\n")
-    else:
-        for lo, hi in geom.primitives:
-            coords = " ".join(repr(float(v)) for v in np.concatenate([lo, hi]))
-            out.write(f"B {coords}\n")
-    return out.getvalue()
-
-
-def geometry_from_text(text: str) -> BoundaryGeometry:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "G":
-        raise ValueError("missing geometry header line")
-    kv = dict(part.split("=", 1) for part in head[1:])
-    dim, depth = int(kv["d"]), int(kv["depth"])
-    family, rule = kv["family"], kv["rule"]
-    lam = float(kv["lambda"])
-
-    kinds = {ln.split()[0] for ln in lines[1:]}
-    rows = np.array([[float(v) for v in ln.split()[1:]] for ln in lines[1:]])
-    if kinds == {"S"}:
-        prims, kind = rows.reshape(-1, 2, 2), "segments"
-    elif kinds == {"B"}:
-        prims, kind = rows.reshape(-1, 2, dim), "boxes"
-    else:
-        raise ValueError(f"mixed or unknown primitive tags {kinds}")
-    if family == "custom":
-        if not np.isnan(lam):
-            raise ValueError(f"custom geometries carry lambda=nan, got {lam!r}")
-        geom = BoundaryGeometry(dim, kind, prims, depth, 0.0)
-    else:
-        named = named_family(family)
-        if kind != named.kind:
-            raise ValueError(f"{family} geometries hold {named.kind}, not {kind}")
-        system = named.system(lam, dim)
-        geom = BoundaryGeometry(dim, kind, prims, depth, named.approx_error(system, depth), system)
-    if rule != geom.domain_rule:
-        raise ValueError(f"{kind} take rule={geom.domain_rule}, not rule={rule}")
-    return geom

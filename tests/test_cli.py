@@ -10,7 +10,6 @@ import pytest
 import snowcap.cli
 from snowcap.cli import run_subcommand, choose_depth
 from snowcap.records import ExperimentRecord, append_record, derive_seed, load_records, load_ids
-from snowcap.simsys import geometry_from_text
 
 
 def run(capsys, *argv):
@@ -61,21 +60,6 @@ def test_dimension_cantor_quarter_hits_unit_threshold(capsys):
     assert rc == 0
     assert abs(payload["s"] - 1.0) < 1e-12
     assert abs(payload["delta_c"] - 1.0) < 1e-12
-
-
-def test_fractal_export_roundtrips(tmp_path, capsys):
-    out = str(tmp_path / "koch.txt")
-    rc, stdout, _ = run(capsys, "fractal", "--family", "koch", "--lambda", "0.3333333333",
-                        "--depth", "2", "--out", out)
-    assert rc == 0
-    assert json.loads(stdout)["primitives"] == 3 * 4**2
-    geom = geometry_from_text(open(out).read())
-    assert len(geom.primitives) == 3 * 4**2
-    assert geom.system.family == "koch"
-    rc, stdout, err = run(capsys, "fractal", "--family", "koch", "--lambda", "0.3333333333",
-                          "--depth", "-1", "--out", out)
-    assert (rc, stdout) == (2, "")
-    assert json.loads(err) == {"error": "config", "message": "depth must be >= 0"}
 
 
 def test_capacity_appends_record(tmp_path, capsys):
@@ -307,6 +291,10 @@ REFUSED = {
                      "collar width eps must be at least two cells"),
     "capacity-eps-inf": (["capacity", *_C, "--delta", "0.5", "--eps", "inf"],
                          "length 'inf' must be finite"),
+    "capacity-depth": (["capacity", *_C, "--delta", "0.5", "--depth", "-1"],
+                       "depth must be >= 0"),
+    "capacity-family": (["capacity", "--family", "vicsk", "--lambda", "0.25", "--d", "2",
+                         "--resolution", "32", "--delta", "0.5"], "unknown family 'vicsk'"),
     "collar-delta": (["collar", *_C, "--delta", "-1", "--z", "0.5,0.5", "--rho", "0.3",
                       "--taus", "1h:4h:4"], _DELTA),
     "sweep-eps-cells": ([*_SWEEP4, "--eps-cells", "1"],
@@ -619,6 +607,18 @@ def test_sweep_resumes_missing_cells(sweep_stream, tmp_path, capsys):
     assert load_ids(partial) == {json.loads(ln)["id"] for ln in lines}
     tail = {json.loads(ln)["id"] for ln in open(partial).read().splitlines()[85:]}
     assert tail == dropped
+
+
+def test_sweep_on_a_fine_line_meets_the_maximum_principle(tmp_path, capsys):
+    # at cg_tol 1e-6 the delta-0 solve on 16384 cells overshoots 1 by 1.9e-6,
+    # and capacity_relaxed continues it at a tighter tolerance
+    out = str(tmp_path / "runs.jsonl")
+    rc, stdout, err = run(capsys, "sweep", "--family", "cantor", "--d", "1",
+                          "--lambdas", "0.25:0.25:1", "--deltas", "0:2.5:11",
+                          "--resolution", "16384", "--out", out)
+    assert (rc, err) == (0, "")
+    assert json.loads(stdout)["records"] == 11
+    assert len(load_records(out)) == 11
 
 
 def test_sweep_builds_fields_through_module_hook(field_builds, tmp_path, capsys):

@@ -20,10 +20,10 @@ PUBLIC = [
     "WalkResult", "ahlfors_check", "append_record", "assemble_form", "build_grid",
     "cantor_dust", "capacity_relaxed", "capacity_upper_eta", "collar_integral",
     "critical_delta", "derive_seed", "distance_field", "errors", "eta_rn", "forms",
-    "geometry_from_text", "geometry_to_text", "geomfield", "hardy_quotient", "koch_snowflake",
-    "load_ids", "load_records", "minkowski_dimension", "named_family", "neighborhood_volume",
-    "realize", "record_id", "records", "similarity_dimension", "simsys", "stochastic",
-    "uniformity_estimate", "vicsek", "walk_absorption", "weight_field",
+    "geomfield", "hardy_quotient", "koch_snowflake", "load_ids", "load_records",
+    "minkowski_dimension", "named_family", "neighborhood_volume", "realize", "record_id",
+    "records", "similarity_dimension", "simsys", "stochastic", "uniformity_estimate", "vicsek",
+    "walk_absorption", "weight_field",
 ]
 
 
@@ -68,8 +68,8 @@ minkowski_dimension(field)
 form = assemble_form(field, 1.0)
 walk_absorption(form, field, WalkConfig(start=(4, 4), horizon=0.1, trials=20, seed=1,
                                         absorb_eps=2 * grid.h))
-snowcap.cli.run_subcommand(["fractal", "--family", "cantor", "--lambda", "0.25", "--d", "2",
-                            "--depth", "2", "--out", sys.argv[1]])
+snowcap.cli.run_subcommand(["dimension", "--family", "cantor", "--lambda", "0.25", "--d", "2",
+                            "--records", sys.argv[1]])
 loaded = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
 cap = capacity_relaxed(field, 1.0, 2 * grid.h).value
 hardy = hardy_quotient(field, 1.0, (0.0, 0.0), 0.4)
@@ -79,7 +79,7 @@ print(json.dumps([loaded, cap, hardy, "scipy.sparse.linalg" in sys.modules,
 
 
 def test_numpy_paths_load_no_scipy(tmp_path):
-    loaded, cap, hardy, sparse_linalg, linalg = _fresh(_COLD_PATHS, str(tmp_path / "dust.txt"))
+    loaded, cap, hardy, sparse_linalg, linalg = _fresh(_COLD_PATHS, str(tmp_path / "r.jsonl"))
     # scipy is imported by the solvers that use it, on first use
     assert loaded == []
     assert cap > 0 and hardy > 0

@@ -264,6 +264,43 @@ def test_capacity_stall_raises(koch128, monkeypatch):
         capacity_relaxed(koch128, 1.0, 8 * koch128.grid.h, cg_tol=1e-14)
 
 
+def _solver_returning(iterates, rtols):
+    """An `_spd_solver` whose k-th solve returns the k-th (min, max) pair as
+    its iterate, after 2 iterations, and logs the tolerance it was given."""
+
+    def spd_solver(A, cells):
+        def solve(b, x0=None, rtol=1e-8):
+            lo, hi = iterates[len(rtols)]
+            rtols.append(rtol)
+            x = np.full(len(b), hi)
+            x[0] = lo
+            return x, 2
+
+        return solve, 3
+
+    return spd_solver
+
+
+def test_capacity_continues_a_solve_that_leaves_the_unit_interval(koch128, monkeypatch):
+    rtols = []
+    monkeypatch.setattr("snowcap.forms._spd_solver",
+                        _solver_returning([(0.0, 1.0 + 2e-6), (0.0, 1.0)], rtols))
+    res = capacity_relaxed(koch128, 1.0, 8 * koch128.grid.h, cg_tol=1e-6)
+    assert rtols == pytest.approx([1e-6, 1e-8], rel=1e-12)
+    assert res.solver_iters == 4
+    assert res.psi.max() == 1.0
+
+
+def test_capacity_refuses_a_violation_that_survives_the_continuations(koch128, monkeypatch):
+    rtols = []
+    monkeypatch.setattr("snowcap.forms._spd_solver", _solver_returning([(-0.25, 1.5)] * 3, rtols))
+    with pytest.raises(SolverDiverged) as err:
+        capacity_relaxed(koch128, 1.0, 8 * koch128.grid.h, cg_tol=1e-6)
+    assert str(err.value) == ("minimizer leaves [0,1] (min -2.500e-01, max - 1 5.000e-01) at "
+                              "cg_tol 1.000e-10: maximum principle violated, solution untrusted")
+    assert rtols == pytest.approx([1e-6, 1e-8, 1e-10], rel=1e-12)
+
+
 # per delta: capacity_relaxed at eps = 8h (value and residual as float.hex,
 # CG iterations, levels), then capacity_upper_eta over r in {0.2, 0.4} and n
 # in {16, 64}; last the sha256 of eta_rn(field, 0.3, 15). Both grids' coarse

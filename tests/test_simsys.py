@@ -6,14 +6,14 @@ import pytest
 from snowcap import (
     BoundaryGeometry,
     DepthOverflow,
+    FAMILIES,
     NoSolutionInRange,
     Similarity,
     SimilaritySystem,
     cantor_dust,
     critical_delta,
-    geometry_from_text,
-    geometry_to_text,
     koch_snowflake,
+    named_family,
     realize,
     similarity_dimension,
     vicsek,
@@ -267,52 +267,9 @@ def test_parameter_validation():
         BoundaryGeometry(2, "segments", np.zeros((0, 2, 2)), 0, 0.0)
 
 
-# --- text exchange format ----------------------------------------------------
-
-
-def test_geometry_text_roundtrip_named():
-    for geom in (koch_snowflake(1 / 3, 2), vicsek(0.3, 2, 2), cantor_dust(1 / 4, 3, 2)):
-        back = geometry_from_text(geometry_to_text(geom))
-        assert back.dim == geom.dim
-        assert back.kind == geom.kind
-        assert back.depth == geom.depth
-        assert back.domain_rule == geom.domain_rule
-        assert back.system.family == geom.system.family
-        assert back.system.lam == geom.system.lam
-        assert np.array_equal(back.primitives, geom.primitives)
-        assert abs(back.approx_error - geom.approx_error) < 1e-15
-    # the `cantor` alias resolves to the same family, error bound included
-    geom = cantor_dust(1 / 4, 2, 3)
-    text = geometry_to_text(geom).replace("family=cantor-dust", "family=cantor", 1)
-    back = geometry_from_text(text)
-    assert back.system.family == "cantor-dust"
-    assert back.approx_error == geom.approx_error > 0.0
-
-
-def test_geometry_text_roundtrip_custom():
-    square = np.array(
-        [
-            [[0.0, 0.0], [1.0, 0.0]],
-            [[1.0, 0.0], [1.0, 1.0]],
-            [[1.0, 1.0], [0.0, 1.0]],
-            [[0.0, 1.0], [0.0, 0.0]],
-        ]
-    )
-    geom = BoundaryGeometry(2, "segments", square, 0, 0.0)
-    text = geometry_to_text(geom)
-    back = geometry_from_text(text)
-    assert back.system is None
-    assert np.array_equal(back.primitives, square)
-    assert back.domain_rule == "interior"
-    # an unknown tag, a named family without lambda, or a custom one with a
-    # lambda must not load as a geometry without its system; nor may
-    # segments load as boxes under the complement rule
-    named = geometry_to_text(cantor_dust(1 / 4, 2, 1))
-    for bad in (
-        named.replace("family=cantor-dust", "family=vicsk"),
-        named.replace("lambda=0.25", "lambda=nan"),
-        text.replace("lambda=nan", "lambda=0.25"),
-        geometry_to_text(koch_snowflake(1 / 3, 1)).replace("rule=interior", "rule=complement"),
-    ):
-        with pytest.raises(ValueError):
-            geometry_from_text(bad)
+def test_named_family_resolves_the_cantor_alias_and_refuses_unknown_names():
+    assert named_family("cantor") is FAMILIES["cantor-dust"]
+    assert named_family("cantor-dust").geometry(0.25, 2, 1).system.lam == 0.25
+    with pytest.raises(ValueError) as err:
+        named_family("vicsk")
+    assert str(err.value) == "unknown family 'vicsk'"
