@@ -320,9 +320,10 @@ def _spd_solver(A: csr_matrix, cells: np.ndarray):
 def eta_rn(field: DistanceField, r: float, n: int) -> np.ndarray:
     """Log-profile cutoff in the boundary distance d: 1 inside d <= r/n, 0
     outside d > r, -log(d/r)/log n in between. Zero on out-of-domain cells."""
-    if n < 2:
+    # written so that a NaN fails too, as in `_check_delta`
+    if not n >= 2:
         raise ValueError("profile steepness n must be >= 2")
-    if r <= 0:
+    if not r > 0:
         raise ValueError("outer radius r must be positive")
     d = field.values
     with np.errstate(divide="ignore", invalid="ignore"):

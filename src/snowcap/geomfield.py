@@ -2,14 +2,18 @@
 
 The domain is carved out of a uniform cell grid by the geometry's domain rule
 (polygon interior or box complement). Distances from every cell center to the
-realized boundary are exact point-to-segment / point-to-box-boundary values.
-A branch-and-bound over blocks of cells and ranges of primitives drops a
-range only when its box lies farther from a block than some boundary point
-does, plus a rounding margin, so the surviving primitives always include each
-cell's nearest one and the only geometric error left is the finite
-realization depth itself. The bounds are sums of per-axis terms, each taken
-once per axis and offset bit rather than once per child block, and the exact
-kernels take per-axis coordinate columns. scipy is imported inside the
+realized boundary are exact point-to-segment / point-to-box-boundary values,
+so the only geometric error left is the finite realization depth itself.
+Boxes that are a product of disjoint per-axis intervals (a Cantor dust) take
+a closed form: the squared distance to the nearest box is a sum of per-axis
+minima, and the depth inside a box the smallest per-axis depth. Everything
+else takes a branch-and-bound over blocks of cells and ranges of primitives,
+which drops a range only when its box lies farther from a block than some
+boundary point does, plus a rounding margin, so the surviving primitives
+always include each cell's nearest one. Its bounds are sums of per-axis
+terms, each taken once per axis and offset bit rather than once per child
+block, and the exact kernels take per-axis coordinate columns. Both paths
+give the same values bitwise. scipy is imported inside the
 functions that use it (the regularity and uniformity estimates), so grids,
 fields and box-counting run on numpy alone.
 """
@@ -84,7 +88,8 @@ class DistanceField:
     boundary, so |d_ideal - values| <= depth_error cellwise. diameter is the
     boundary's bounding-box diagonal. search summarizes the branch-and-bound
     of `distance_field`: (block, range) pairs bounded, pairs kept and exact
-    point-to-primitive evaluations; None for a field built otherwise.
+    point-to-primitive evaluations; None for a field built otherwise, such
+    as a Cantor dust's closed form.
     """
 
     grid: Grid
@@ -300,25 +305,26 @@ def _survivors(blocks, ranges, slack, lev, lev2, blk, kid):
     return keep, child.reshape(-1)
 
 
-def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
-    """Exact distance from every cell center to the realized boundary.
+def _branch_and_bound(geometry: BoundaryGeometry, grid: Grid):
+    """(values, search): the minimum over all primitives of the exact
+    point-to-segment or point-to-box-boundary distance at every cell centre,
+    found by branch-and-bound, and the search's counters.
 
-    Branch-and-bound over two hierarchies refined level by level: blocks of
-    2^l cells per side, and ranges of consecutive primitives (see
-    `_range_levels`). A (block, range) pair carries a lower bound, the
-    distance between the block's box of cell centers and the range's box,
-    and an upper bound for the whole block, the farthest distance from the
-    block to a boundary point the range holds. Every cell of the block lies
-    within the block's smallest upper bound of the boundary, so a range whose
-    lower bound exceeds it by more than rounding error holds no nearest
-    primitive of any cell in the block and is dropped. Surviving pairs split
-    into child blocks and child ranges; for single cells and single
-    primitives that survive, the exact point-to-segment or
-    point-to-box-boundary distance is evaluated and the minimum kept, which
-    is the minimum over all primitives. Pairs are expanded depth first in
+    Two hierarchies are refined level by level: blocks of 2^l cells per
+    side, and ranges of consecutive primitives (see `_range_levels`). A
+    (block, range) pair carries a lower bound, the distance between the
+    block's box of cell centers and the range's box, and an upper bound for
+    the whole block, the farthest distance from the block to a boundary
+    point the range holds. Every cell of the block lies within the block's
+    smallest upper bound of the boundary, so a range whose lower bound
+    exceeds it by more than rounding error holds no nearest primitive of any
+    cell in the block and is dropped. Surviving pairs split into child
+    blocks and child ranges; for single cells and single primitives that
+    survive, the exact distance is evaluated and the minimum kept, which is
+    the minimum over all primitives. Pairs are expanded depth first in
     batches of bounded size; `_survivors` bounds all children of a batch at
-    once. The result's `search` counts the pairs bounded and kept and the
-    exact evaluations.
+    once. `search` counts the pairs bounded and kept and the exact
+    evaluations.
     """
     prims = geometry.primitives
     exact = _segment_distance if geometry.kind == "segments" else _box_boundary_distance
@@ -380,12 +386,104 @@ def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
         elif len(kept):
             stack.append((lev2, m2, child, kept))
 
+    search = {"bound_pairs": n_bound, "kept_pairs": n_kept, "exact": n_exact}
+    return values.reshape(grid.dims), search
+
+
+def _product_axes(geometry: BoundaryGeometry):
+    """Per axis the sorted (lo, hi) columns of the intervals whose products
+    are the geometry's boxes, or None when the boxes are not such a product.
+
+    The boxes form one when, along every axis, their (lo, hi) pairs are a
+    few intervals that are strictly disjoint, and every combination of one
+    interval per axis is exactly one box: a Cantor dust, not a Vicsek cross,
+    whose central cube's intervals touch the corner cubes' ones.
+    """
+    if geometry.kind != "boxes":
+        return None
+    prims = geometry.primitives
+    axes, counts, index = [], [], []
+    for ax in range(geometry.dim):
+        lo, at = np.unique(prims[:, 0, ax], return_inverse=True)
+        hi = np.empty_like(lo)
+        hi[at] = prims[:, 1, ax]
+        # one hi per lo, lo <= hi, and a gap before the next interval
+        if not (np.array_equal(hi[at], prims[:, 1, ax]) and (lo <= hi).all()
+                and (hi[:-1] < lo[1:]).all()):
+            return None
+        axes.append((lo, hi))
+        counts.append(len(lo))
+        index.append(at)
+    n = len(prims)
+    if n != np.prod(counts) or len(np.unique(np.ravel_multi_index(index, counts))) != n:
+        return None
+    return axes
+
+
+def _product_distances(axes: list, grid: Grid) -> np.ndarray:
+    """The distance field of a product box set, from per-axis terms.
+
+    Along each axis the gap g = max(lo - x, x - hi) to an interval is
+    smallest for the interval at or left of the centre x or the one right of
+    it. Outside every box the squared distance to the nearest box is the
+    sum over axes of the smallest max(g, 0)^2; inside one, the distance to
+    its nearest face is -max over axes of g. These are the operations of
+    `_box_boundary_distance`, in the same order and on monotone roundings,
+    so the field equals the minimum over all boxes bitwise. The result is
+    the only grid-sized array.
+    """
+    d = grid.dim
+    near2, inner = [], []
+    for ax, (lo, hi) in enumerate(axes):
+        x = grid.axis_centers(ax)
+        # an infinite interval on each side stands for a missing neighbour
+        lo = np.concatenate(([-np.inf], lo, [np.inf]))
+        hi = np.concatenate(([-np.inf], hi, [np.inf]))
+        left = np.searchsorted(lo, x, side="right") - 1
+        g_left, g_right = (np.maximum(lo[k] - x, x - hi[k]) for k in (left, left + 1))
+        near2.append(np.minimum(np.maximum(g_left, 0.0) ** 2, np.maximum(g_right, 0.0) ** 2))
+        inner.append(g_left)
+
+    def along(a, ax):
+        return a.reshape([-1 if k == ax else 1 for k in range(d)])
+
+    values = np.empty(grid.dims)
+    values[...] = along(near2[0], 0)
+    for ax in range(1, d):
+        values += along(near2[ax], ax)
+    np.sqrt(values, out=values)
+    # the cells inside a box: inside an interval along every axis
+    cells = [np.flatnonzero(g <= 0) for g in inner]
+    if all(len(c) for c in cells):
+        gmax = along(inner[0][cells[0]], 0)
+        for ax in range(1, d):
+            gmax = np.maximum(gmax, along(inner[ax][cells[ax]], ax))
+        values[np.ix_(*cells)] = -gmax
+    return values
+
+
+def distance_field(geometry: BoundaryGeometry, grid: Grid) -> DistanceField:
+    """Exact distance from every cell center to the realized boundary.
+
+    A box set that is a product of per-axis intervals (`_product_axes`: a
+    Cantor dust) takes the closed form `_product_distances`, whose squared
+    distance splits into per-axis terms. Segments and other box sets take
+    the branch-and-bound `_branch_and_bound`, and the field's `search`
+    holds its counters; the closed form leaves it None. Both give the
+    minimum over all primitives of the exact point-to-segment or
+    point-to-box-boundary distance, bitwise.
+    """
+    axes = _product_axes(geometry)
+    if axes is None:
+        values, search = _branch_and_bound(geometry, grid)
+    else:
+        values, search = _product_distances(axes, grid), None
     return DistanceField(
         grid=grid,
-        values=values.reshape(grid.dims),
+        values=values,
         depth_error=geometry.approx_error,
         diameter=geometry.diameter,
-        search={"bound_pairs": n_bound, "kept_pairs": n_kept, "exact": n_exact},
+        search=search,
     )
 
 
@@ -418,7 +516,7 @@ def neighborhood_volume(field: DistanceField, r) -> float:
     """Lebesgue volume of the in-domain cells within distance r of the boundary."""
     vals = field.values[field.grid.omega_mask]
     hd = field.grid.h ** field.grid.dim
-    if np.isscalar(r):
+    if np.ndim(r) == 0:
         return float(hd * np.count_nonzero(vals < r))
     return np.array([hd * np.count_nonzero(vals < ri) for ri in np.asarray(r)])
 

@@ -59,7 +59,12 @@ _COLD_PATHS = """
 import json, sys
 import snowcap, snowcap.cli
 from snowcap import (WalkConfig, assemble_form, build_grid, cantor_dust, capacity_relaxed,
-                     distance_field, hardy_quotient, minkowski_dimension, walk_absorption)
+                     distance_field, hardy_quotient, minkowski_dimension, vicsek,
+                     walk_absorption)
+
+# a dust's field takes the closed form; a cross's takes the branch-and-bound
+cross = vicsek(1 / 3, 2, 2)
+assert distance_field(cross, build_grid(cross, 32, margin=0.2)).search is not None
 
 geom = cantor_dust(0.25, 2, 3)
 grid = build_grid(geom, 32)

@@ -173,6 +173,15 @@ def test_eta_parameter_validation(koch128):
         eta_rn(koch128, 0.3, 1)
     with pytest.raises(ValueError):
         eta_rn(koch128, -0.1, 4)
+    # a NaN compares False both ways, so it is refused like a bad value,
+    # whichever place it takes in the candidate lists
+    with pytest.raises(ValueError):
+        eta_rn(koch128, np.nan, 4)
+    with pytest.raises(ValueError):
+        eta_rn(koch128, 0.3, np.nan)
+    for r_list in ([np.nan, 0.3], [0.3, np.nan]):
+        with pytest.raises(ValueError):
+            capacity_upper_eta(koch128, 1.0, r_list, [4])
 
 
 # --- relaxed capacity --------------------------------------------------------------

@@ -22,7 +22,14 @@ from snowcap import (
     uniformity_estimate,
     vicsek,
 )
-from snowcap.geomfield import _box_boundary_distance, _box_union_mask, _segment_distance
+from snowcap.geomfield import (
+    _box_boundary_distance,
+    _box_union_mask,
+    _branch_and_bound,
+    _product_axes,
+    _product_distances,
+    _segment_distance,
+)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -237,10 +244,13 @@ def test_distance_matches_bruteforce_boxes(centers):
     [
         (lambda: koch_snowflake(1 / 4, 4), 64, 0.0,
          "1ee772eb0581d9b242b22004fd52d5ec1ad3af7635d5fd8fd0da337ff91bd77b", (124088, 19006, 8679)),
+        # a dust takes the closed form, which runs no search
         (lambda: cantor_dust(1 / 4, 3, 2), 20, 0.3,
-         "a58c599320090b2ee1a9ca489b674fcaf525a9ec9be5db4435cf5a09a087a5e9", (66664, 18918, 13386)),
+         "a58c599320090b2ee1a9ca489b674fcaf525a9ec9be5db4435cf5a09a087a5e9", None),
+        (lambda: vicsek(1 / 3, 3, 2), 24, 0.2,
+         "1a4f33e96e26192b6132b5ad3aa8e0d29d1bbac723356b11917ff2b12fda47e3", (117936, 47616, 34651)),
     ],
-    ids=["koch", "cantor-3d"],
+    ids=["koch", "cantor-3d", "vicsek-3d"],
 )
 def test_distance_field_is_pinned(make, res, margin, digest, search):
     # record values and the benchmark's reference numbers rest on fields that
@@ -248,7 +258,57 @@ def test_distance_field_is_pinned(make, res, margin, digest, search):
     geom = make()
     df = distance_field(geom, build_grid(geom, res, margin=margin))
     assert hashlib.sha256(df.values.tobytes()).hexdigest() == digest
-    assert df.search == dict(zip(["bound_pairs", "kept_pairs", "exact"], search))
+    if search is None:
+        assert df.search is None
+    else:
+        assert df.search == dict(zip(["bound_pairs", "kept_pairs", "exact"], search))
+
+
+@pytest.mark.parametrize(
+    "dim,lam,depth,res,margin",
+    [
+        (1, 0.25, 9, 4096, 0.0),
+        *[(2, lam, 4, 128, margin) for lam in (0.1, 0.25, 0.45) for margin in (0.0, 0.3)],
+        (2, 0.25, 0, 32, 0.5),
+        (3, 0.25, 3, 64, 0.3),
+        (3, 0.45, 3, 48, 0.3),
+    ],
+)
+def test_dust_closed_form_matches_branch_and_bound(dim, lam, depth, res, margin):
+    # bitwise, on cells far outside, between and inside the boxes, and on
+    # their faces, where both give -0.0
+    geom = cantor_dust(lam, dim, depth)
+    grid = build_grid(geom, res, margin=margin)
+    axes = _product_axes(geom)
+    assert axes is not None and [len(lo) for lo, _ in axes] == [2**depth] * dim
+    want, search = _branch_and_bound(geom, grid)
+    assert isinstance(search, dict)
+    assert _product_distances(axes, grid).tobytes() == want.tobytes()
+    assert distance_field(geom, grid).search is None
+
+
+def _boxes(boxes, dim=2):
+    return BoundaryGeometry(dim, "boxes", np.asarray(boxes, float), 0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make,res",
+    [
+        (lambda: vicsek(1 / 3, 2, 3), 48),
+        (lambda: vicsek(1 / 3, 3, 2), 24),
+        # a dust with one box removed: too few boxes for the product
+        (lambda: _boxes(cantor_dust(1 / 4, 2, 2).primitives[1:]), 32),
+        # every combination of two overlapping intervals per axis
+        (lambda: _boxes([[[a, b], [a + 0.5, b + 0.5]] for a in (0.0, 0.4) for b in (0.0, 0.4)]),
+         32),
+    ],
+    ids=["vicsek-2d", "vicsek-3d", "dust-less-one", "overlapping"],
+)
+def test_non_product_boxes_take_the_search(make, res):
+    geom = make()
+    assert _product_axes(geom) is None
+    df = distance_field(geom, build_grid(geom, res, margin=0.2))
+    assert isinstance(df.search, dict)
 
 
 def test_distance_lipschitz_and_bounds(koch256):
@@ -291,6 +351,8 @@ def test_neighborhood_volume_monotone(koch256):
     assert (np.diff(vols) >= 0).all()
     tiny = df.values[df.grid.omega_mask].min() * 0.5
     assert neighborhood_volume(df, max(tiny, 1e-12)) == 0.0
+    # a 0-d array is a single radius too
+    assert neighborhood_volume(df, np.array(0.1)) == neighborhood_volume(df, 0.1) > 0
 
 
 def test_tube_volume_straight_segment():
