@@ -287,8 +287,8 @@ def test_dust_closed_form_matches_branch_and_bound(dim, lam, depth, res, margin)
     assert distance_field(geom, grid).search is None
 
 
-def _boxes(boxes, dim=2):
-    return BoundaryGeometry(dim, "boxes", np.asarray(boxes, float), 0, 0.0)
+def _boxes(boxes):
+    return BoundaryGeometry(2, "boxes", np.asarray(boxes, float), 0, 0.0)
 
 
 @pytest.mark.parametrize(
