@@ -17,7 +17,7 @@ from snowcap import (
     critical_delta,
     build_grid,
     distance_field,
-    capacity_relaxed,
+    capacity_ladder,
     collar_integral,
 )
 
@@ -35,8 +35,9 @@ def main():
         geom = koch_snowflake(lam, depth)
         field = distance_field(geom, build_grid(geom, res))
         row = []
-        for delta in (0.5, 2.0):
-            out = capacity_relaxed(field, delta, 8 * field.grid.h, cg_tol=1e-6)
+        # one ladder: both deltas solve on the multigrid skeleton of delta 0.5
+        ladder = capacity_ladder(field, (0.5, 2.0), 8 * field.grid.h, cg_tol=1e-6)
+        for delta, out in zip((0.5, 2.0), ladder):
             values[(delta, res)] = out.value
             row.append(out.value)
         print(f"{res:>10}      {row[0]:>9.5f}    {row[1]:>9.5f}")

@@ -30,7 +30,7 @@ from .simsys import named_family, similarity_dimension, critical_delta
 from .geomfield import _ball, build_grid, distance_field
 from .forms import (
     _check_capacity, _check_collar, _check_delta, _check_hardy, _collar_sum, _hardy_solve,
-    assemble_form, capacity_relaxed,
+    assemble_form, capacity_ladder, capacity_relaxed,
 )
 from .stochastic import WalkConfig, _start_index, walk_absorption
 from .records import (
@@ -240,19 +240,28 @@ def _cmd_dimension(args) -> dict:
 # --- sweep ---------------------------------------------------------------------
 
 
-def _trend_cell(field_coarse, field_fine, delta: float, eps_cells: float, cg_tol: float):
-    """Capacity at two resolutions with a collar of fixed width in cells.
+def _trend(v_c: float, v_f: float) -> dict:
+    """A cell's outputs from its capacities at two resolutions with a collar
+    of fixed width in cells.
 
     The collar shrinks with the cell size, so a vanishing trend flags
     boundaries the form cannot see in the limit.
     """
-    v_c, v_f = (
-        capacity_relaxed(f, delta, eps_cells * f.grid.h, cg_tol=cg_tol).value
-        for f in (field_coarse, field_fine)
-    )
     ratio = v_c / v_f if v_f > 0 else float("inf")
     verdict = "vanishing" if ratio >= 1.25 else "persistent"
     return {"capacity_coarse": v_c, "capacity_fine": v_f, "ratio": ratio, "verdict": verdict}
+
+
+def _rungs(field, deltas, n: int, eps_cells: float, cg_tol: float):
+    """The capacity and the seconds of each of the first n rungs of the
+    field's capacity ladder over deltas, with a collar eps_cells wide; the
+    rungs after them are not solved."""
+    t0 = time.perf_counter()
+    ladder = capacity_ladder(field, deltas, eps_cells * field.grid.h, cg_tol)
+    for _ in range(n):
+        value = next(ladder).value
+        yield value, time.perf_counter() - t0
+        t0 = time.perf_counter()
 
 
 def _cmd_sweep(args) -> dict:
@@ -288,12 +297,19 @@ def _cmd_sweep(args) -> dict:
         geom = named_family(args.family).geometry(lam, args.d, depth)
         field_c, field_f = (distance_field(geom, build_grid(geom, r)) for r in (res_c, res_f))
 
-        for rid, params in cells:
-            t0 = time.perf_counter()
-            outputs = _trend_cell(field_c, field_f, params["delta"], args.eps_cells, args.cg_tol)
-            _record(args.out, params, depth, outputs, {"cg_tol": args.cg_tol},
-                    derive_seed(args.seed, rid), time.perf_counter() - t0)
+        # one ladder per grid: the smallest delta of --deltas closes it and so
+        # sets its skeleton, also when its own cell is already written (the
+        # ladder stops before that rung), and a resumed sweep writes the
+        # values of an uninterrupted one. The coarse ladder ends before the
+        # fine one starts, so their skeletons are never held together.
+        ladder = [params["delta"] for _, params in cells] + [float(deltas.min())]
+        coarse = list(_rungs(field_c, ladder, len(cells), args.eps_cells, args.cg_tol))
+        fine = _rungs(field_f, ladder, len(cells), args.eps_cells, args.cg_tol)
+        for (rid, params), (v_c, t_c), (v_f, t_f) in zip(cells, coarse, fine):
+            _record(args.out, params, depth, _trend(v_c, v_f), {"cg_tol": args.cg_tol},
+                    derive_seed(args.seed, rid), t_c + t_f)
             written += 1
+        fine.close()  # its skeleton, before the next lambda's fields
 
     return {"records": written, "skipped": len(lams) * len(deltas) - written, "out": args.out}
 

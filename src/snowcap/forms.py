@@ -37,6 +37,7 @@ __all__ = [
     "eta_rn",
     "capacity_upper_eta",
     "capacity_relaxed",
+    "capacity_ladder",
     "hardy_quotient",
     "collar_integral",
 ]
@@ -115,7 +116,7 @@ def assemble_form(field: DistanceField, delta: float) -> SparseForm:
     return SparseForm(_faces(weight_field(field, delta), grid.omega_mask, grid.h), grid)
 
 
-def _restrict(faces, keep: np.ndarray, term):
+def _restrict(faces, keep: np.ndarray, term, layout=None):
     """The form of the faces plus a per-cell term on the cells of the mask
     keep, shaped like the faces, unknown k the k-th kept cell in flat order,
     and per kept cell the weight of its faces to the other cells.
@@ -123,6 +124,8 @@ def _restrict(faces, keep: np.ndarray, term):
     Both add up-faces by axis, then down-faces by axis: the diagonal is the
     term plus the outer faces, then plus the faces to kept cells. Each CSR
     row is written in column order: down axes 0..d-1, diagonal, up d-1..0.
+    Only the values depend on the faces: layout, the (indices, indptr) of an
+    earlier matrix on the same mask, is shared instead of derived again.
     """
     from scipy.sparse import csr_matrix
 
@@ -136,28 +139,41 @@ def _restrict(faces, keep: np.ndarray, term):
     m = len(outer)
     index = np.int32 if (2 * d + 1) * m <= np.iinfo(np.int32).max else np.int64
     rank = np.cumsum(keep, dtype=index).reshape(keep.shape) - 1
-    # row slots in column order, the diagonal in slot d; column -1: no neighbour
-    cols, vals = np.full((m, 2 * d + 1), -1, dtype=index), np.zeros((m, 2 * d + 1))
+    # row slots in column order, the diagonal in slot d; the columns only
+    # where no layout is given, and read only in the slots that hold an entry
+    vals = np.zeros((m, 2 * d + 1))
+    cols = np.empty((m, 2 * d + 1), dtype=index) if layout is None else None
     for ax, (lo, hi, both) in enumerate(_pairs(keep)):
         i, j = rank[lo][both], rank[hi][both]
-        cols[i, 2 * d - ax], cols[j, ax] = j, i
         vals[i, 2 * d - ax] = vals[j, ax] = -faces[ax][lo][both]
+        if cols is not None:
+            cols[i, 2 * d - ax], cols[j, ax] = j, i
     del rank, i, j
     full = term + outer
     for slot in (*range(2 * d, d, -1), *range(d)):  # up-faces (2d - ax), down (ax)
         full -= vals[:, slot]
-    cols[:, d], vals[:, d] = np.arange(m), full
+    vals[:, d] = full
     del full
-    has = cols >= 0
-    # the running count of kept slots, read at each row's last slot
-    indptr = np.zeros(m + 1, dtype=index)
-    indptr[1:] = np.cumsum(has.ravel(), dtype=index)[2 * d::2 * d + 1]
+    # the slots that hold an entry: the diagonal, and slot ax (2d - ax) where
+    # the cell below (above) along ax is kept
+    has = np.ones((m, 2 * d + 1), dtype=bool)
+    for ax, (lo, hi, both) in enumerate(_pairs(keep)):
+        for slot, side in ((2 * d - ax, lo), (ax, hi)):
+            on = np.zeros(keep.shape, dtype=bool)
+            on[side] = both
+            has[:, slot] = on[keep]
+    del on
     # each slot table is freed as soon as it is compacted
     data = vals[has]
     del vals
-    indices = cols[has]
-    del cols, has
-    return csr_matrix((data, indices, indptr), shape=(m, m)), outer
+    if cols is not None:
+        cols[:, d] = np.arange(m)
+        # the running count of filled slots, read at each row's last slot
+        indptr = np.zeros(m + 1, dtype=index)
+        indptr[1:] = np.cumsum(has.ravel(), dtype=index)[2 * d::2 * d + 1]
+        layout = (cols[has], indptr)
+        del cols
+    return csr_matrix((data, *layout), shape=(m, m)), outer
 
 
 # smoothed aggregation: cells per aggregate along each axis (2 densifies the
@@ -240,20 +256,37 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
     Mandel and Brezina, Computing 56, 1996) for `_vcycle`.
 
     Unknown k sits on the integer grid cell coords[k]. Each level groups the
-    unknowns of every 3^d block of cells into one aggregate, smooths the
+    unknowns of every 3^d block of cells into one aggregate and smooths the
     piecewise-constant prolongator P0 by one damped-Jacobi step,
-    P = P0 - (2/3) D^-1 A P0, and passes the Galerkin operator P^T A P down
-    to a level of at most _COARSE_ROWS rows. That level is checked positive
-    definite by a dense Cholesky factorization and inverted once, so its
-    solve is one small matrix-vector product. Returns the levels above the
-    coarsest, finest first, and the coarsest level's solve.
+    P = P0 - (2/3) D^-1 A P0, to pass the Galerkin operator down (see
+    `_galerkin`, which returns the hierarchy). The prolongators P of its
+    levels are the hierarchy's skeleton, over which `_galerkin` builds the
+    hierarchy of another matrix on the same unknowns.
+    """
+
+    def smoothed(A, diag):
+        nonlocal coords
+        P, coords = _prolongator(A, diag, coords)
+        return P
+
+    return _galerkin(A, smoothed)
+
+
+def _galerkin(A: csr_matrix, prolong):
+    """The multigrid levels of an SPD matrix A over the prolongators P that
+    prolong(A_k, diag_k) gives each level A_k: each level passes the
+    Galerkin operator R A_k P, R = P^T, down to a level of at most
+    _COARSE_ROWS rows. That level is checked positive definite by a dense
+    Cholesky factorization and inverted once, so its solve is one small
+    matrix-vector product. Returns the levels above the coarsest, finest
+    first, as (A_k, w D_k^-1, P, R), and the coarsest level's solve.
     """
     diag = A.diagonal()
     if not diag.min() > 0:  # weights that underflow at large delta
         raise SolverDiverged("a matrix row has no weight: the form's weights underflow")
-    levels = []  # (A, w D^-1, P, P^T) of each level above the coarsest
+    levels = []
     while A.shape[0] > _COARSE_ROWS:
-        P, coords = _prolongator(A, diag, coords)
+        P = prolong(A, diag)
         R = P.T.tocsr()
         levels.append((A, _SMOOTH_W / diag, P, R))
         A = R @ (A @ P)
@@ -267,19 +300,17 @@ def _hierarchy(A: csr_matrix, coords: np.ndarray):
     return levels, lambda r: inverse @ r
 
 
-def _spd_solver(A: csr_matrix, cells: np.ndarray):
+def _spd_solver(A: csr_matrix, hierarchy):
     """Conjugate gradients preconditioned by one V(2,2) cycle of the
-    smoothed-aggregation hierarchy of A (see `_hierarchy`), unknown k the
-    k-th cell of the mask cells in C order. The cells' coordinates are
-    passed on as a temporary, so that (on CPython 3.11 and later) no frame
-    but the hierarchy's holds them and its first level frees them.
+    multigrid hierarchy (levels, coarse solve) of A from `_hierarchy` or
+    `_galerkin`.
 
     Returns solve(b, x0, rtol) -> (x, iterations), which raises
     SolverDiverged on a stall, and the number of levels. The loop is scipy's
     `cg` (1.17) step for step, stopped when ||r|| < rtol ||b||; between
     V-cycles it holds only the iterate x, the residual r and the direction p.
     """
-    levels, coarse = _hierarchy(A, np.argwhere(cells))
+    levels, coarse = hierarchy
 
     def solve(b, x0=None, rtol=1e-8):
         bnorm = np.linalg.norm(b)
@@ -388,49 +419,111 @@ def capacity_relaxed(
     conjugate gradients preconditioned with a smoothed-aggregation
     multigrid cycle, to relative residual cg_tol, which must be positive and
     finite; a solve that stalls raises SolverDiverged. x0 optionally
-    warm-starts the solver with a full-grid flat or grid-shaped guess. The
-    minimizer must land in [0, 1] by the discrete maximum principle; this is
-    checked, not enforced. A solve that leaves [0, 1] by more than 1e-8 is
-    continued from its iterate at tighter tolerances (`_TIGHTEN`, `_RETRIES`)
-    and raises SolverDiverged only if it is still outside; solver_iters
-    counts every iteration.
+    warm-starts the solver with a full-grid flat or grid-shaped guess, which
+    must be finite on the cells the solve reads. The minimizer must land in
+    [0, 1] by the discrete maximum principle; this is checked, not enforced.
+    A solve that leaves [0, 1] by more than 1e-8 is continued from its
+    iterate at tighter tolerances (`_TIGHTEN`, `_RETRIES`) and raises
+    SolverDiverged only if it is still outside; solver_iters counts every
+    iteration. This is the one-rung `capacity_ladder`.
     """
+    return next(capacity_ladder(field, [delta], eps, cg_tol, x0))
+
+
+def capacity_ladder(field: DistanceField, deltas, eps: float, cg_tol: float = 1e-8,
+                    x0: np.ndarray | None = None):
+    """`capacity_relaxed(field, delta, eps, cg_tol, x0)` for each delta of
+    deltas in turn, yielded as each rung is solved, on one multigrid skeleton.
+
+    The collar, the free cells and the CSR layout of their matrix are found
+    once. The smallest delta's hierarchy is built as `capacity_relaxed`
+    builds it, and its prolongators are kept: every rung forms only its own
+    Galerkin operators, diagonals and coarsest inverse over them. Smoothed
+    at the smallest delta they serve the larger deltas about as well as
+    their own (at most one more CG iteration on the tested Koch, dust and
+    Vicsek boundaries), while smoothed at the largest they serve the
+    smaller deltas worse (15-17 iterations against 12-13). So the smallest
+    delta's rung is bitwise `capacity_relaxed`'s, in any order of deltas,
+    and every other rung agrees with it to the solve's tolerance. A rung is
+    solved only when it is drawn. The options are checked, and the collar
+    found, when the ladder is made.
+    """
+    deltas = [float(delta) for delta in deltas]
+    if not deltas:
+        raise ValueError("a capacity ladder needs at least one delta")
+    for delta in deltas:
+        _check_delta(delta)
     grid = field.grid
     _check_capacity(grid.h, eps, cg_tol)
     mask = grid.omega_mask
     collar = mask & (field.values < eps)
     if not collar.any():
         raise EmptyRegion("no in-domain cell lies inside the collar")
-    form = assemble_form(field, delta)
-    hd = grid.h**grid.dim
     free = mask & ~collar
-    if not free.any():
-        return CapacityResult(hd * int(collar.sum()), float(eps), 0, 0.0, 0, collar.astype(float))
-
-    # a face from a free cell to another domain cell ends on the collar: psi = 1
-    A, b = _restrict(form.faces, free, hd)
-    del form  # the faces are read; the energy assembles them again
-    solve, levels = _spd_solver(A, free)
     guess = None if x0 is None else np.asarray(x0, dtype=float).reshape(grid.dims)[free]
-    sol, iters = solve(b, guess, cg_tol)
-    for retry in range(_RETRIES + 1):
-        lo, over = float(sol.min()), float(sol.max()) - 1.0
-        if lo >= -1e-8 and over <= 1e-8:
-            break
-        if retry == _RETRIES:
-            raise SolverDiverged(
-                f"minimizer leaves [0,1] (min {lo:.3e}, max - 1 {over:.3e}) at cg_tol "
-                f"{cg_tol * _TIGHTEN**retry:.3e}: maximum principle violated, solution untrusted"
-            )
-        sol, more = solve(b, sol, cg_tol * _TIGHTEN ** (retry + 1))
-        iters += more
-    bnorm = np.linalg.norm(b)  # 0 if every weight underflows; CG then returns psi = 0 exactly
-    resid = float(np.linalg.norm(A @ sol - b) / bnorm) if bnorm > 0 else 0.0
-    del A, solve  # the matrix and its hierarchy, before the energy's temporaries
-    psi = collar.astype(float)
-    psi[free] = sol
-    value = assemble_form(field, delta).energy(psi) + hd * float(np.sum(psi[mask] ** 2))
-    return CapacityResult(value, float(eps), iters, resid, levels, psi)
+    if guess is not None and not np.isfinite(guess).all():
+        raise ValueError("warm start x0 must be finite on the free cells")
+    return _ladder(field, deltas, float(eps), cg_tol, collar, free, guess)
+
+
+def _collar_system(field: DistanceField, delta: float, free: np.ndarray, layout=None):
+    """The free-cell matrix of the capacity at delta and its right-hand side:
+    a face from a free cell to another domain cell ends on the collar, where
+    psi = 1. The form's faces are freed once the matrix is written."""
+    grid = field.grid
+    return _restrict(assemble_form(field, delta).faces, free, grid.h**grid.dim, layout)
+
+
+def _ladder(field, deltas, eps, cg_tol, collar, free, guess):
+    """`capacity_ladder`'s rungs, its options checked."""
+    grid = field.grid
+    mask, hd = grid.omega_mask, grid.h**grid.dim
+    if not free.any():
+        for _ in deltas:
+            yield CapacityResult(hd * int(collar.sum()), eps, 0, 0.0, 0, collar.astype(float))
+        return
+
+    low = min(deltas)
+    A, b = _collar_system(field, low, free)
+    # the cells' coordinates are a temporary, freed by the hierarchy's first level
+    hierarchy = _hierarchy(A, np.argwhere(free))
+    # the prolongators alone: R = P^T is formed again by each rung, since
+    # kept beside P through a sweep it raised the peak RSS by ~2 MB (heap
+    # fragmentation: the traced peak did not move)
+    skeleton, layout = [level[2] for level in hierarchy[0]], (A.indices, A.indptr)
+    if deltas[0] != low:  # the smallest delta's own system serves a first rung only
+        del A, b, hierarchy
+    for k, delta in enumerate(deltas):
+        if k or delta != low:
+            A, b = _collar_system(field, delta, free, layout)
+            steps = iter(skeleton)
+            hierarchy = _galerkin(A, lambda *_: next(steps))
+        if k == len(deltas) - 1:  # the last rung's matrix and levels hold what it needs
+            skeleton = layout = None
+        solve, levels = _spd_solver(A, hierarchy)
+        del hierarchy
+        sol, iters = solve(b, guess, cg_tol)
+        for retry in range(_RETRIES + 1):
+            lo, over = float(sol.min()), float(sol.max()) - 1.0
+            if lo >= -1e-8 and over <= 1e-8:
+                break
+            if retry == _RETRIES:
+                raise SolverDiverged(
+                    f"minimizer leaves [0,1] (min {lo:.3e}, max - 1 {over:.3e}) at cg_tol "
+                    f"{cg_tol * _TIGHTEN**retry:.3e}: maximum principle violated, "
+                    "solution untrusted"
+                )
+            sol, more = solve(b, sol, cg_tol * _TIGHTEN ** (retry + 1))
+            iters += more
+        bnorm = np.linalg.norm(b)  # 0 if every weight underflows; CG then returns psi = 0 exactly
+        resid = float(np.linalg.norm(A @ sol - b) / bnorm) if bnorm > 0 else 0.0
+        del A, b, solve  # the matrix and its hierarchy, before the energy's temporaries
+        psi = collar.astype(float)
+        psi[free] = sol
+        del sol
+        value = assemble_form(field, delta).energy(psi) + hd * float(np.sum(psi[mask] ** 2))
+        yield CapacityResult(value, eps, iters, resid, levels, psi)
+        del psi  # the caller holds the result; the next rung does not
 
 
 # --- local Hardy quotient ---------------------------------------------------------

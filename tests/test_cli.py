@@ -628,6 +628,50 @@ def test_sweep_builds_fields_through_module_hook(field_builds, tmp_path, capsys)
     assert len(field_builds) == 4  # coarse and fine grid for each of two lambdas
 
 
+# lambda 0.15 has 3 and 4 multigrid levels on its two grids, lambda 0.4 1 and 3
+_SWEEP128 = [*_SWEEP4, "--resolution", "128", "--deltas", "0:2.5:4"]
+
+
+def test_sweep_builds_one_hierarchy_per_ladder(monkeypatch, tmp_path, capsys):
+    # each (lambda, grid) is one ladder: one smoothed hierarchy, then only
+    # Galerkin products for each further delta
+    import snowcap.forms
+
+    build, calls = snowcap.forms._hierarchy, []
+
+    def counting(A, coords):
+        calls.append(A.shape[0])
+        return build(A, coords)
+
+    monkeypatch.setattr(snowcap.forms, "_hierarchy", counting)
+    rc, stdout, _ = run(capsys, *_SWEEP4, "--resolution", "128", "--out",
+                        str(tmp_path / "r.jsonl"))
+    assert rc == 0 and json.loads(stdout)["records"] == 4
+    assert len(calls) == 4  # 2 lambdas x 2 grids, not once per cell and grid (8)
+
+
+def test_sweep_resume_writes_the_values_of_an_uninterrupted_sweep(tmp_path, capsys):
+    # the skeleton comes from the smallest delta of --deltas whether or not
+    # its cell is still to write: drop lambda 0.15's deltas 0.833 and 2.5
+    # (its delta 0 stays) and lambda 0.4's deltas 0 and 1.667
+    whole, part = str(tmp_path / "whole.jsonl"), str(tmp_path / "part.jsonl")
+    assert run(capsys, *_SWEEP128, "--out", whole)[0] == 0
+    lines = open(whole).read().splitlines()
+    cells = [(r["lambda"], r["delta"]) for r in map(json.loads, lines)]
+    drop = {(0.15, 2.5 / 3), (0.15, 2.5), (0.4, 0.0), (0.4, 5.0 / 3)}
+    assert drop <= set(cells)
+    with open(part, "w") as fh:
+        fh.writelines(ln + "\n" for ln, cell in zip(lines, cells) if cell not in drop)
+    rc, stdout, _ = run(capsys, *_SWEEP128, "--out", part)
+    assert rc == 0 and json.loads(stdout)["records"] == 4
+
+    def capacities(path):
+        return {r["id"]: [r["outputs"][k].hex() for k in ("capacity_coarse", "capacity_fine")]
+                for r in map(json.loads, open(path).read().splitlines())}
+
+    assert capacities(part) == capacities(whole)
+
+
 def test_sweep_resumes_after_torn_final_record(tmp_path, capsys):
     out = str(tmp_path / "r.jsonl")
     assert run(capsys, *_SWEEP4, "--out", out)[0] == 0

@@ -18,7 +18,7 @@ PUBLIC = [
     "Grid", "InsufficientSamples", "NoSolutionInRange", "ScalingFit", "Similarity",
     "SimilaritySystem", "SnowcapError", "SolverDiverged", "SparseForm", "WalkConfig",
     "WalkResult", "ahlfors_check", "append_record", "assemble_form", "build_grid",
-    "cantor_dust", "capacity_relaxed", "capacity_upper_eta", "collar_integral",
+    "cantor_dust", "capacity_ladder", "capacity_relaxed", "capacity_upper_eta", "collar_integral",
     "critical_delta", "derive_seed", "distance_field", "errors", "eta_rn", "forms",
     "geomfield", "hardy_quotient", "koch_snowflake", "load_ids", "load_records",
     "minkowski_dimension", "named_family", "neighborhood_volume", "realize", "record_id",

@@ -26,15 +26,18 @@ from snowcap import (
     eta_rn,
     capacity_upper_eta,
     capacity_relaxed,
+    capacity_ladder,
     hardy_quotient,
     collar_integral,
     uniformity_estimate,
+    vicsek,
 )
 from snowcap.forms import (
     _GRAM_FLOOR,
     _faces,
     _hardy_pencil,
     _hardy_solve,
+    _hierarchy,
     _restrict,
     _ritz,
     _spd_solver,
@@ -266,6 +269,57 @@ def test_capacity_warm_start_agrees(koch128):
     assert abs(cold.value - warm.value) <= 1e-8 * cold.value
 
 
+def test_capacity_refuses_a_warm_start_that_is_not_finite(koch128, monkeypatch):
+    # an infinite guess ran all 500 CG iterations and ended in "stalled at
+    # residual nan"; it is refused before any hierarchy is built
+    h, dims = koch128.grid.h, koch128.grid.dims
+    free = koch128.grid.omega_mask & ~(koch128.values < 8 * h)
+    one_nan = np.zeros(dims)
+    one_nan[tuple(np.argwhere(free)[0])] = np.nan
+    outside = np.where(free, 0.5, np.inf)  # read on the free cells only
+    good = capacity_relaxed(koch128, 1.0, 8 * h, x0=outside)
+    assert abs(good.value - capacity_relaxed(koch128, 1.0, 8 * h).value) <= 1e-8 * good.value
+
+    def no_hierarchy(*args):
+        raise AssertionError("a hierarchy was built")
+
+    monkeypatch.setattr("snowcap.forms._hierarchy", no_hierarchy)
+    for x0 in (np.full(dims, np.inf), np.full(dims, np.nan), one_nan.ravel()):
+        with pytest.raises(ValueError, match="x0 must be finite on the free cells"):
+            capacity_relaxed(koch128, 1.0, 8 * h, x0=x0)
+    # a ladder checks every rung's delta when it is made
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        capacity_ladder(koch128, [1.0, -1.0], 8 * h)
+    with pytest.raises(ValueError, match="at least one delta"):
+        capacity_ladder(koch128, [], 8 * h)
+
+
+LADDER_FIELDS = {  # hierarchies of 3-4 levels
+    "koch13-256": (koch_snowflake(1 / 3, 6), 256),
+    "cantor-0.25-256": (cantor_dust(0.25, 2, 5), 256),
+    "vicsek-0.3-256": (vicsek(0.3, 2, 4), 256),
+    "cantor-3d-32": (cantor_dust(0.25, 3, 3), 32),
+}
+
+
+@pytest.mark.parametrize("geom, res", LADDER_FIELDS.values(), ids=LADDER_FIELDS.keys())
+def test_capacity_ladder_matches_single_solves(geom, res):
+    # descending deltas: the skeleton still comes from the smallest, delta 0,
+    # whose rung is capacity_relaxed's bitwise
+    field = distance_field(geom, build_grid(geom, res))
+    eps, deltas = 8 * field.grid.h, [4.0, 3.0, 2.0, 1.0, 0.0]
+    ladder = list(capacity_ladder(field, deltas, eps))
+    single = [capacity_relaxed(field, delta, eps) for delta in deltas]
+    for rung, one in zip(ladder, single):
+        assert abs(rung.value - one.value) <= 1e-8 * one.value
+        assert rung.solver_iters <= one.solver_iters + 1
+        assert rung.levels == one.levels >= 3
+    low, one = ladder[-1], single[-1]
+    assert (low.value.hex(), low.residual.hex(), low.solver_iters) == (
+        one.value.hex(), one.residual.hex(), one.solver_iters)
+    assert low.psi.tobytes() == one.psi.tobytes()
+
+
 def test_capacity_stall_raises(koch128, monkeypatch):
     # one PCG iteration cannot reach a relative residual of 1e-14
     monkeypatch.setattr("snowcap.forms._MAX_PCG_ITERS", 1)
@@ -475,7 +529,7 @@ def test_spd_solver_matches_direct_solve(mask, delta):
     A = _grid_system(mask, delta)
     b = np.random.default_rng(3).standard_normal(A.shape[0])
     ref = spsolve(A.tocsc(), b)
-    solve, levels = _spd_solver(A, mask)
+    solve, levels = _spd_solver(A, _hierarchy(A, np.argwhere(mask)))
     rtol = 1e-10
     x, iters = solve(b, None, rtol)
     assert levels >= 2
@@ -489,7 +543,7 @@ def test_spd_solver_small_system_is_one_direct_level():
     mask = np.ones((12, 12), dtype=bool)
     A = _grid_system(mask)  # 144 rows: at most the coarse size
     b = np.random.default_rng(4).standard_normal(144)
-    solve, levels = _spd_solver(A, mask)
+    solve, levels = _spd_solver(A, _hierarchy(A, np.argwhere(mask)))
     x, iters = solve(b, None, 1e-12)
     assert levels == 1 and iters == 1
     assert np.linalg.norm(x - spsolve(A.tocsc(), b)) <= 1e-12 * np.linalg.norm(x)
