@@ -39,8 +39,6 @@ from .records import (
 
 __all__ = ["run_subcommand", "main", "choose_depth"]
 
-_PRIMITIVE_BUDGET = 2_000_000
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -59,12 +57,17 @@ def _parse_length(spec: str, h: float) -> float:
     return length
 
 
-def _parse_range(spec: str) -> np.ndarray:
-    """'lo:hi:n' -> n evenly spaced values from lo to hi inclusive."""
+def _split_range(spec: str, bound: Callable) -> tuple:
+    """lo, hi and n of a range 'lo:hi:n', the bounds read by bound."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range {spec!r} must look like lo:hi:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    return bound(parts[0]), bound(parts[1]), int(parts[2])
+
+
+def _parse_range(spec: str) -> np.ndarray:
+    """'lo:hi:n' -> n evenly spaced values from lo to hi inclusive."""
+    lo, hi, n = _split_range(spec, float)
     if n < 1:
         raise ValueError("range count must be >= 1")
     if not np.isfinite([lo, hi]).all():
@@ -74,10 +77,7 @@ def _parse_range(spec: str) -> np.ndarray:
 
 def _parse_length_range(spec: str, h: float) -> np.ndarray:
     """'8h:64h:7' -> geometric ladder of lengths (bounds may use the h suffix)."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range {spec!r} must look like lo:hi:n")
-    lo, hi, n = _parse_length(parts[0], h), _parse_length(parts[1], h), int(parts[2])
+    lo, hi, n = _split_range(spec, lambda bound: _parse_length(bound, h))
     if n < 2:
         raise ValueError("need at least two ladder points")
     if not (lo > 0 and hi > 0):
@@ -99,23 +99,17 @@ def choose_depth(family: str, lam: float, dim: int, resolution: int) -> int:
     """Smallest depth whose realization error is below one cell.
 
     The error shrinks like ratio^depth; the cell size is the bounding-box
-    extent over the resolution. Depth is capped by the family guardrail and
-    by a primitive-count budget, so extreme ratios degrade gracefully
-    instead of exhausting memory.
+    extent over the resolution. Depth stops at the family's cap for dim, the
+    deepest realization of at most 2,000,000 primitives, so extreme ratios
+    degrade gracefully instead of exhausting memory.
     """
     named = named_family(family)
     probe = named.geometry(lam, dim, 3)
     lo, hi = probe.bounds()
     h = float(np.max(hi - lo)) / resolution
 
-    mult = len(probe.system.maps)
-    base = len(probe.primitives) // mult**probe.depth  # primitives at depth 0
     depth = 1
-    while (
-        named.approx_error(probe.system, depth) > h
-        and depth < named.depth_caps[dim]
-        and base * mult ** (depth + 1) <= _PRIMITIVE_BUDGET
-    ):
+    while named.approx_error(probe.system, depth) > h and depth < named.depth_caps[dim]:
         depth += 1
     return depth
 
@@ -247,7 +241,7 @@ def _trend(v_c: float, v_f: float) -> dict:
     The collar shrinks with the cell size, so a vanishing trend flags
     boundaries the form cannot see in the limit.
     """
-    ratio = v_c / v_f if v_f > 0 else float("inf")
+    ratio = v_c / v_f
     verdict = "vanishing" if ratio >= 1.25 else "persistent"
     return {"capacity_coarse": v_c, "capacity_fine": v_f, "ratio": ratio, "verdict": verdict}
 

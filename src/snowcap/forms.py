@@ -251,32 +251,17 @@ def _vcycle(levels, coarse, r):
     return x
 
 
-def _hierarchy(A: csr_matrix, coords: np.ndarray):
+def _hierarchy(A: csr_matrix, coords: np.ndarray | None = None, skeleton=None):
     """Smoothed-aggregation multigrid hierarchy of an SPD matrix (Vanek,
     Mandel and Brezina, Computing 56, 1996) for `_vcycle`.
 
-    Unknown k sits on the integer grid cell coords[k]. Each level groups the
-    unknowns of every 3^d block of cells into one aggregate and smooths the
-    piecewise-constant prolongator P0 by one damped-Jacobi step,
-    P = P0 - (2/3) D^-1 A P0, to pass the Galerkin operator down (see
-    `_galerkin`, which returns the hierarchy). The prolongators P of its
-    levels are the hierarchy's skeleton, over which `_galerkin` builds the
-    hierarchy of another matrix on the same unknowns.
-    """
-
-    def smoothed(A, diag):
-        nonlocal coords
-        P, coords = _prolongator(A, diag, coords)
-        return P
-
-    return _galerkin(A, smoothed)
-
-
-def _galerkin(A: csr_matrix, prolong):
-    """The multigrid levels of an SPD matrix A over the prolongators P that
-    prolong(A_k, diag_k) gives each level A_k: each level passes the
-    Galerkin operator R A_k P, R = P^T, down to a level of at most
-    _COARSE_ROWS rows. That level is checked positive definite by a dense
+    Each level A_k passes the Galerkin operator R A_k P, R = P^T, down to a
+    level of at most _COARSE_ROWS rows. P is either built from coords, unknown
+    k sitting on the integer grid cell coords[k]: the unknowns of every 3^d
+    block of cells form one aggregate, whose piecewise-constant prolongator
+    P0 is smoothed by one damped-Jacobi step, P = P0 - (2/3) D^-1 A P0; or it
+    is skeleton[k], the prolongators of an earlier hierarchy on the same
+    unknowns. The coarsest level is checked positive definite by a dense
     Cholesky factorization and inverted once, so its solve is one small
     matrix-vector product. Returns the levels above the coarsest, finest
     first, as (A_k, w D_k^-1, P, R), and the coarsest level's solve.
@@ -286,7 +271,10 @@ def _galerkin(A: csr_matrix, prolong):
         raise SolverDiverged("a matrix row has no weight: the form's weights underflow")
     levels = []
     while A.shape[0] > _COARSE_ROWS:
-        P = prolong(A, diag)
+        if skeleton is None:
+            P, coords = _prolongator(A, diag, coords)
+        else:
+            P = skeleton[len(levels)]
         R = P.T.tocsr()
         levels.append((A, _SMOOTH_W / diag, P, R))
         A = R @ (A @ P)
@@ -302,8 +290,7 @@ def _galerkin(A: csr_matrix, prolong):
 
 def _spd_solver(A: csr_matrix, hierarchy):
     """Conjugate gradients preconditioned by one V(2,2) cycle of the
-    multigrid hierarchy (levels, coarse solve) of A from `_hierarchy` or
-    `_galerkin`.
+    multigrid hierarchy (levels, coarse solve) of A from `_hierarchy`.
 
     Returns solve(b, x0, rtol) -> (x, iterations), which raises
     SolverDiverged on a stall, and the number of levels. The loop is scipy's
@@ -496,8 +483,7 @@ def _ladder(field, deltas, eps, cg_tol, collar, free, guess):
     for k, delta in enumerate(deltas):
         if k or delta != low:
             A, b = _collar_system(field, delta, free, layout)
-            steps = iter(skeleton)
-            hierarchy = _galerkin(A, lambda *_: next(steps))
+            hierarchy = _hierarchy(A, skeleton=skeleton)
         if k == len(deltas) - 1:  # the last rung's matrix and levels hold what it needs
             skeleton = layout = None
         solve, levels = _spd_solver(A, hierarchy)

@@ -579,15 +579,23 @@ def ahlfors_check(
     masses mu(B(x, r)) for centers drawn from the measure and geometric radii
     give ratios mu(B)/r^s, returned as (c_lo, c_hi). Raises
     InsufficientSamples when the realization is too coarse for r_range[0].
+    A setting that samples no ratio, or an s that is negative or not finite,
+    raises ValueError before anything is sampled.
     """
+    r_lo, r_hi = float(r_range[0]), float(r_range[1])
+    if not 0 < r_lo < r_hi:
+        raise ValueError("need 0 < r_lo < r_hi")
+    if not 0 <= s < np.inf:
+        raise ValueError("s must be finite and >= 0")
+    if not n_centers >= 1:
+        raise ValueError("n_centers must be at least 1")
+    if not radii_per_center >= 1:
+        raise ValueError("radii_per_center must be at least 1")
     prims = geometry.primitives
     reps = 0.5 * (prims[:, 0] + prims[:, 1])
     scale = np.linalg.norm(prims[:, 1] - prims[:, 0], axis=1)
     if geometry.kind == "boxes":
         scale /= np.sqrt(geometry.dim)  # a box's scale is its side, not its diagonal
-    r_lo, r_hi = float(r_range[0]), float(r_range[1])
-    if not 0 < r_lo < r_hi:
-        raise ValueError("need 0 < r_lo < r_hi")
     masses = scale**s
     masses = masses / masses.sum()
     rng = np.random.default_rng(seed)
@@ -625,8 +633,13 @@ def uniformity_estimate(
     returned, saturated at sigma_max. Raises Disconnected when a sampled pair
     has no path at all inside the region. The graph, centres and distances
     cover only the ball's cells, read on its bounding box, so the work is
-    sized by the ball, not the grid.
+    sized by the ball, not the grid. n_pairs below 1, or a sigma_max below 1
+    or not finite, raises ValueError before the ball is built.
     """
+    if not n_pairs >= 1:
+        raise ValueError("n_pairs must be at least 1")
+    if not 1.0 <= sigma_max < np.inf:
+        raise ValueError("sigma_max must be finite and >= 1")
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 

@@ -276,9 +276,9 @@ def _cube_primitives(system: SimilaritySystem, depth: int) -> np.ndarray:
 class Family:
     """A named boundary family: maps(lam, dim) builds its similarities for lam
     in (0, lam_max] (open when lam_max_open); depth_caps maps each supported
-    dimension to a depth guardrail on the primitive count (raising it changes
-    no result); primitives(system, depth) realizes the base set, whose kind
-    the geometry carries."""
+    dimension to the deepest realization it builds, the deepest of at most
+    2,000,000 primitives (see `FAMILIES`); primitives(system, depth)
+    realizes the base set, whose kind the geometry carries."""
 
     name: str
     maps: Callable
@@ -314,14 +314,18 @@ class Family:
         )
 
 
+# each depth cap is the deepest realization with at most 2,000,000 primitives
+# (3 * 4^9 Koch segments, 5^9 and 9^6 Vicsek boxes, 2^20, 4^10 and 8^6 dust
+# boxes), so a depth chosen for a fine grid stops there instead of
+# exhausting memory
 FAMILIES = {
     f.name: f
     for f in (
-        Family("koch", _koch_maps, 1.0 / 3.0, False, {2: 10},
+        Family("koch", _koch_maps, 1.0 / 3.0, False, {2: 9},
                _koch_primitives, "segments"),
         Family("vicsek", _vicsek_maps, 0.5, True, {2: 9, 3: 6},
                _cube_primitives, "boxes"),
-        Family("cantor-dust", _cube_corner_maps, 0.5, True, {1: 20, 2: 11, 3: 7},
+        Family("cantor-dust", _cube_corner_maps, 0.5, True, {1: 20, 2: 10, 3: 6},
                _cube_primitives, "boxes"),
     )
 }

@@ -293,6 +293,9 @@ REFUSED = {
                          "length 'inf' must be finite"),
     "capacity-depth": (["capacity", *_C, "--delta", "0.5", "--depth", "-1"],
                        "depth must be >= 0"),
+    "capacity-depth-cap": (["capacity", "--family", "koch", "--lambda", "0.25", "--resolution",
+                            "32", "--delta", "0.5", "--depth", "10"],
+                           "koch depth 10 exceeds cap 9", "DepthOverflow"),
     "capacity-family": (["capacity", "--family", "vicsk", "--lambda", "0.25", "--d", "2",
                          "--resolution", "32", "--delta", "0.5"], "unknown family 'vicsk'"),
     "collar-delta": (["collar", *_C, "--delta", "-1", "--z", "0.5,0.5", "--rho", "0.3",
@@ -313,6 +316,8 @@ REFUSED = {
     "sweep-resolution": ([*_SWEEP4, "--resolution", "8"], "sweep resolution must be at least 16"),
     "collar-taus": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "0.3", "--taus", "1h:4h:1"],
                     "need at least two ladder points"),
+    "collar-taus-range": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "0.3", "--taus", "8h:64h"],
+                          "range '8h:64h' must look like lo:hi:n"),
     "collar-taus-negative": ([*_COLLAR, "--z", "0.5,0.5", "--rho", "0.3", "--taus=-1h:4h:3"],
                              "range '-1h:4h:3' must have positive bounds"),
     "walk-start-point": ([*_WALK, "--start", "0.5"],
@@ -633,15 +638,16 @@ _SWEEP128 = [*_SWEEP4, "--resolution", "128", "--deltas", "0:2.5:4"]
 
 
 def test_sweep_builds_one_hierarchy_per_ladder(monkeypatch, tmp_path, capsys):
-    # each (lambda, grid) is one ladder: one smoothed hierarchy, then only
-    # Galerkin products for each further delta
+    # each (lambda, grid) is one ladder: one hierarchy aggregates its cells,
+    # every further delta only forms Galerkin products over its skeleton
     import snowcap.forms
 
     build, calls = snowcap.forms._hierarchy, []
 
-    def counting(A, coords):
-        calls.append(A.shape[0])
-        return build(A, coords)
+    def counting(A, coords=None, skeleton=None):
+        if skeleton is None:
+            calls.append(A.shape[0])
+        return build(A, coords, skeleton)
 
     monkeypatch.setattr(snowcap.forms, "_hierarchy", counting)
     rc, stdout, _ = run(capsys, *_SWEEP4, "--resolution", "128", "--out",

@@ -539,6 +539,22 @@ def test_spd_solver_matches_direct_solve(mask, delta):
     assert solve(b, ref, 1e-8)[1] == 0
 
 
+@pytest.mark.parametrize("mask, delta", SPD_SYSTEMS.values(), ids=SPD_SYSTEMS.keys())
+def test_skeleton_rebuilds_the_hierarchy_bitwise(mask, delta):
+    # a hierarchy over the prolongators of one that aggregated the cells is
+    # that hierarchy, level by level and in its coarse solve
+    A = _grid_system(mask, delta)
+    levels, coarse = _hierarchy(A, np.argwhere(mask))
+    again, again_coarse = _hierarchy(A, skeleton=[level[2] for level in levels])
+    assert len(again) == len(levels) >= 1
+    for (Ak, wd, _, _), (Bk, wd_again, _, _) in zip(levels, again):
+        for part in ("data", "indices", "indptr"):
+            assert getattr(Ak, part).tobytes() == getattr(Bk, part).tobytes()
+        assert wd.tobytes() == wd_again.tobytes()
+    r = np.random.default_rng(5).standard_normal(levels[-1][2].shape[1])
+    assert coarse(r).tobytes() == again_coarse(r).tobytes()
+
+
 def test_spd_solver_small_system_is_one_direct_level():
     mask = np.ones((12, 12), dtype=bool)
     A = _grid_system(mask)  # 144 rows: at most the coarse size

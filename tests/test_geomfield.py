@@ -393,6 +393,14 @@ def test_minkowski_validation_and_degenerate():
         minkowski_dimension(flat, 0.1, 2.0, 8)  # r_min below 4h
     with pytest.raises(ValueError):
         minkowski_dimension(flat, 0.5, 2.0, 3)  # too few radii
+    with pytest.raises(ValueError, match="r_max exceeds a quarter of the boundary diameter"):
+        minkowski_dimension(flat, 0.5, 26.0, 8)
+
+
+def test_minkowski_default_radii(koch256):
+    # r_min = 4h and r_max = diameter/8 when not given
+    _, df = koch256
+    assert minkowski_dimension(df) == minkowski_dimension(df, 4 * df.grid.h, df.diameter / 8)
 
 
 # --- measure regularity ----------------------------------------------------------
@@ -415,6 +423,25 @@ def test_ahlfors_named_families():
     assert k_hi / k_lo <= 40.0
     c_lo, c_hi = ahlfors_check(cantor_dust(1 / 4, 2, 5), 1.0, 200, (0.01, 0.2))
     assert c_hi / c_lo <= 40.0
+
+
+AHLFORS_REFUSED = {
+    "n-centers-0": (dict(n_centers=0), "n_centers must be at least 1"),
+    "radii-per-center-0": (dict(radii_per_center=0), "radii_per_center must be at least 1"),
+    "s-nan": (dict(s=np.nan), "s must be finite and >= 0"),
+    "s-inf": (dict(s=np.inf), "s must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("options, message", AHLFORS_REFUSED.values(),
+                         ids=AHLFORS_REFUSED.keys())
+def test_ahlfors_refuses_settings_that_sample_nothing(options, message, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a centre was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
+        ahlfors_check(koch_snowflake(1 / 3, 4), **{"s": 1.0, **options})
 
 
 def test_ahlfors_depth_stable():
@@ -478,6 +505,30 @@ def test_uniformity_cantor_3d_ball():
     df = distance_field(geom, build_grid(geom, 24, margin=0.2))
     sigma = uniformity_estimate(df, z=np.array([0.5, 0.5, 0.5]), R=0.3, n_pairs=8, seed=3)
     assert sigma.hex() == "0x1.2387a6e756238p+0"
+
+
+UNIFORMITY_REFUSED = {
+    "n-pairs-0": (dict(n_pairs=0), "n_pairs must be at least 1"),
+    "n-pairs-negative": (dict(n_pairs=-3), "n_pairs must be at least 1"),
+    "sigma-max-0.5": (dict(sigma_max=0.5), "sigma_max must be finite and >= 1"),
+    "sigma-max-nan": (dict(sigma_max=np.nan), "sigma_max must be finite and >= 1"),
+    "sigma-max-inf": (dict(sigma_max=np.inf), "sigma_max must be finite and >= 1"),
+}
+
+
+@pytest.mark.parametrize("options, message", UNIFORMITY_REFUSED.values(),
+                         ids=UNIFORMITY_REFUSED.keys())
+def test_uniformity_refuses_settings_that_sample_nothing(options, message, monkeypatch):
+    # koch 1/3 depth 4 at 64: refused before the ball is built
+    geom = koch_snowflake(1 / 3, 4)
+    df = distance_field(geom, build_grid(geom, 64))
+
+    def no_ball(*args):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr("snowcap.geomfield._ball", no_ball)
+    with pytest.raises(ValueError, match=message):
+        uniformity_estimate(df, (0.5, 0.3), 0.2, **options)
 
 
 def test_uniformity_disconnected():

@@ -254,6 +254,15 @@ def test_depth_caps_raise():
         cantor_dust(1 / 4, 3, 8)
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_depth_caps_are_the_deepest_within_two_million_primitives(name):
+    family = FAMILIES[name]
+    for dim, cap in family.depth_caps.items():
+        system = family.system(family.lam_max / 2, dim)
+        count = len(family.primitives(system, 0)) * len(system.maps) ** cap
+        assert count <= 2_000_000 < count * len(system.maps), (dim, cap)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         koch_snowflake(0.4, 1)  # lam > 1/3
